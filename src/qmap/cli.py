@@ -180,7 +180,7 @@ def cmd_simulate_encoding(spec: ResolvedSpec, config: dict, out_dir: Path,
                           seed: int) -> int:
     """Sweep family sizes; for each size and trial, PGM-decode the encoded
     index states and record the average success probability."""
-    from .qstate import apply_unitary, tensor_power
+    from .qstate import tensor_power
     from itertools import product as iproduct
 
     n = int(config.get("n", 1))
@@ -208,13 +208,8 @@ def cmd_simulate_encoding(spec: ResolvedSpec, config: dict, out_dir: Path,
                     fams.append(protocols.pauli_family(z, n, d, size=k))
                 else:
                     raise SpecError(f"unknown family {family!r}", "$.family")
-            encoded = []
-            for k_tuple in iproduct(*[range(f.size) for f in fams]):
-                state = rho_n
-                for fam, group, kk in zip(fams, copy_groups, k_tuple):
-                    state = apply_unitary(state, fam.block(kk), list(group))
-                encoded.append(state)
-            povm = protocols.pgm_decoder(encoded, [1 / len(encoded)] * len(encoded))
+            k_tuples = list(iproduct(*[range(f.size) for f in fams]))
+            encoded, povm = protocols.encoded_pgm(rho_n, fams, copy_groups, k_tuples)
             samples[f"success_K{k}"].append(protocols.povm_success(povm, encoded))
     samples_t = {name: tuple(vals) for name, vals in samples.items()}
     estimates = {name: float(np.mean(vals)) for name, vals in samples_t.items()}

@@ -27,11 +27,13 @@ from .qstate import (
     DimensionError,
     StateValidationError,
     SystemLayout,
+    apply_local,
     apply_unitary,
-    embed_operator,
+    conjugate_local,
     maximally_mixed,
     partial_trace,
     permute_factors,
+    psd_violation,
     tensor,
     tensor_power,
     trace_norm,
@@ -161,6 +163,50 @@ def identity_family(z: int, n: int, d: int, size: int = 1) -> UnitaryFamily:
                                         for _ in range(size)), kind="identity")
 
 
+def _prefix_walk(root, families: Sequence[UnitaryFamily],
+                 groups: Sequence[Sequence[str]], k_tuples, step):
+    """For each index tuple in the given order, yield `root` after
+    `step(x, block, group)` has applied each sender's block unitary in turn.
+
+    Only the steps after the prefix shared with the previous tuple are
+    recomputed, and only the current prefix chain is kept alive.
+    """
+    chain = [root]
+    previous: Sequence[int] = ()
+    for k_tuple in k_tuples:
+        shared = 0
+        for a, b in zip(previous, k_tuple):
+            if a != b:
+                break
+            shared += 1
+        del chain[shared + 1:]
+        for z in range(shared, len(k_tuple)):
+            chain.append(step(chain[-1], families[z].block(k_tuple[z]), list(groups[z])))
+        previous = k_tuple
+        yield chain[-1]
+
+
+def encode(rho_n: DensityMatrix, families: Sequence[UnitaryFamily],
+           groups: Sequence[Sequence[str]],
+           k_tuples: Iterable[Sequence[int]]) -> list[DensityMatrix]:
+    """Encoded states (U_1,k_1 x ... x U_Z,k_Z) rho_n (...)^dag, in the order
+    of `k_tuples`, where sender z's block unitary acts on `groups[z]`.
+
+    The tuples are walked in sorted order, so sender z's unitary is applied
+    once per distinct prefix (k_1..k_z).
+    """
+    k_tuples = [tuple(int(k) for k in t) for t in k_tuples]
+    if len(groups) != len(families):
+        raise ValueError("one sender group per family required")
+    if any(len(t) != len(families) for t in k_tuples):
+        raise ValueError(f"each index tuple needs {len(families)} entries")
+    order = sorted(range(len(k_tuples)), key=k_tuples.__getitem__)
+    walk = _prefix_walk(rho_n, families, groups, [k_tuples[i] for i in order],
+                        apply_unitary)
+    by_index = dict(zip(order, walk))
+    return [by_index[i] for i in range(len(k_tuples))]
+
+
 def _random_unitary_channel(rho: DensityMatrix, family: UnitaryFamily,
                             on: Sequence[str]) -> DensityMatrix:
     acc = np.zeros_like(rho.matrix)
@@ -208,8 +254,10 @@ class Povm:
         for el in self.elements:
             if el.shape != (d, d):
                 raise DimensionError("POVM elements must share one dimension")
-            if np.min(np.linalg.eigvalsh((el + el.conj().T) / 2)) < -POVM_PSD_TOL:
-                raise StateValidationError("POVM element is not PSD within tolerance")
+            min_eig = psd_violation((el + el.conj().T) / 2, POVM_PSD_TOL)
+            if min_eig is not None:
+                raise StateValidationError(
+                    f"POVM element is not PSD within tolerance: min eigenvalue {min_eig}")
             total = total + el
         dev = np.max(np.abs(total - np.eye(d)))
         if dev > POVM_SUM_TOL:
@@ -236,14 +284,30 @@ def _psd_power(m: np.ndarray, power: float, cutoff: float | None = None) -> np.n
     return (vec * out) @ vec.conj().T
 
 
+def _sqrt_factor(m: np.ndarray) -> np.ndarray:
+    """F with F F^dag = m, from one eigendecomposition; negative eigenvalues
+    are clipped to zero and every eigenvector is kept."""
+    eig, vec = np.linalg.eigh((m + m.conj().T) / 2)
+    return vec * np.sqrt(np.clip(eig, 0.0, None))
+
+
 def pgm_decoder(states: Sequence[DensityMatrix | np.ndarray],
-                priors: Sequence[float], fold_completion: bool = False) -> Povm:
+                priors: Sequence[float], fold_completion: bool = False,
+                factors: Iterable[np.ndarray] | None = None) -> Povm:
     """Square-root measurement for a state ensemble.
 
     Elements are rhobar^{-1/2} p_k rho_k rhobar^{-1/2} with the inverse
-    square root taken on rhobar's support; the null-space projector is
-    appended as a completion element, or folded uniformly into the K
-    elements when `fold_completion` (which keeps exactly K outcomes).
+    square root taken on rhobar's support, built as Gram matrices B_k B_k^dag
+    with B_k = sqrt(p_k) rhobar^{-1/2} F_k and F_k F_k^dag = rho_k, so they
+    stay PSD to rounding however large rhobar^{-1/2} is. `factors` supplies
+    the F_k (an iterable consumed once, in state order); by default each is
+    taken from its state's eigendecomposition. Each B_k is then replaced by
+    T^{-1/2} B_k, T = sum_k B_k B_k^dag: T is the support projector
+    in exact arithmetic, and in floating point this makes the elements sum
+    to a projector to rounding even when rhobar is nearly singular, so the
+    completion I - sum_k E_k is PSD to rounding as well. The null-space
+    projector is appended as a completion element, or folded uniformly into
+    the K elements when `fold_completion` (which keeps exactly K outcomes).
     """
     mats = [s.matrix if isinstance(s, DensityMatrix) else np.asarray(s, dtype=complex)
             for s in states]
@@ -257,7 +321,16 @@ def pgm_decoder(states: Sequence[DensityMatrix | np.ndarray],
     if np.max(np.abs(avg)) == 0:
         raise ValueError("degenerate ensemble: average state is zero")
     inv_sqrt = _psd_power(avg, -0.5, cutoff=PINV_CUTOFF)
-    elements = [inv_sqrt @ (p * m) @ inv_sqrt for p, m in zip(priors, mats)]
+    if factors is None:
+        factors = (_sqrt_factor(m) for m in mats)
+    bs = [math.sqrt(p) * (inv_sqrt @ f) for p, f in zip(priors, factors, strict=True)]
+    refine = _psd_power(sum(b @ b.conj().T for b in bs), -0.5, cutoff=PINV_CUTOFF)
+    # each B_k is overwritten by its element, so one list of d x d matrices
+    # is alive at a time
+    elements = bs
+    for i, b in enumerate(bs):
+        c = refine @ b
+        elements[i] = c @ c.conj().T
     completion = np.eye(d) - sum(elements)
     if fold_completion:
         elements = [el + completion / len(elements) for el in elements]
@@ -276,7 +349,25 @@ def povm_success(povm: Povm, states: Sequence[DensityMatrix | np.ndarray],
     if priors is None:
         priors = [1.0 / len(mats)] * len(mats)
     return float(np.real(sum(
-        p * np.trace(povm.elements[k] @ m) for k, (p, m) in enumerate(zip(priors, mats)))))
+        p * np.einsum("ij,ji->", povm.elements[k], m)
+        for k, (p, m) in enumerate(zip(priors, mats)))))
+
+
+def encoded_pgm(rho_n: DensityMatrix, families: Sequence[UnitaryFamily],
+                groups: Sequence[Sequence[str]], k_tuples: Sequence[Sequence[int]]
+                ) -> tuple[list[DensityMatrix], Povm]:
+    """Encoded states of `encode` and their uniform-prior PGM.
+
+    The PGM's square-root factors are U_k F, with F F^dag = rho_n from a
+    single eigendecomposition, produced one at a time along the same
+    prefix walk as the states.
+    """
+    encoded = encode(rho_n, families, groups, k_tuples)
+    layout = rho_n.layout
+    factors = _prefix_walk(_sqrt_factor(rho_n.matrix), families, groups, k_tuples,
+                           lambda f, u, on: apply_local(f, u, on, layout))
+    povm = pgm_decoder(encoded, [1.0 / len(encoded)] * len(encoded), factors=factors)
+    return encoded, povm
 
 
 def sequential_decoder(rho: DensityMatrix, sender_groups: Sequence[Sequence[str]],
@@ -312,8 +403,8 @@ def sequential_decoder(rho: DensityMatrix, sender_groups: Sequence[Sequence[str]
         povm = pgm_decoder(encoded, [1.0 / fam.size] * fam.size, fold_completion=True)
         ops = []
         for k in range(fam.size):
-            u_full = embed_operator(fam.block(k), group, marginal.layout)
-            upsilon = u_full.conj().T @ _psd_power(povm.elements[k], 0.5) @ u_full
+            upsilon = conjugate_local(_psd_power(povm.elements[k], 0.5),
+                                      fam.block(k).conj().T, group, marginal.layout)
             sq = upsilon @ upsilon
             eye = np.eye(sq.shape[0])
             gentle = upsilon @ _psd_power(eye - sq, 0.5)
@@ -331,16 +422,14 @@ def sequential_decoder(rho: DensityMatrix, sender_groups: Sequence[Sequence[str]
             chain = np.eye(rho.dim, dtype=complex)
             for z in range(z_count):  # stage 1 applied first (rightmost)
                 op = stage_ops[z][k_tuple[z]][bits[z]]
-                chain = embed_operator(op, stage_labels[z], layout) @ chain
+                chain = apply_local(chain, op, stage_labels[z], layout)
             lam = lam + chain.conj().T @ chain
-        u_full = np.eye(rho.dim, dtype=complex)
+        # Tr[U lam U^dag U rho U^dag] = Tr[lam rho] for the encoding U of k_tuple
+        success_terms.append(float(np.real(np.einsum("ij,ji->", lam, rho_mat))))
         for z in range(z_count):
-            u_full = u_full @ embed_operator(
-                families[z].block(k_tuple[z]), list(sender_groups[z]), layout)
-        lam = u_full @ lam @ u_full.conj().T
+            lam = conjugate_local(lam, families[z].block(k_tuple[z]),
+                                  list(sender_groups[z]), layout)
         elements.append(lam)
-        rho_k = u_full @ rho_mat @ u_full.conj().T
-        success_terms.append(float(np.real(np.trace(lam @ rho_k))))
     povm = Povm(tuple(elements))
     return povm, float(np.mean(success_terms))
 
@@ -383,7 +472,7 @@ def union_bound_check(lambdas: Sequence[np.ndarray], rho) -> UnionBoundResult:
         for j, b in enumerate(bits):
             chain = pieces[j][b] @ chain
         lam_hat = lam_hat + chain.conj().T @ chain
-    lam_hat_trace = float(np.real(np.trace(lam_hat @ rho_mat)))
+    lam_hat_trace = float(np.real(np.einsum("ij,ji->", lam_hat, rho_mat)))
     # ancilla chain: Pi_j = L_j (x) |0> + sqrt(L_j) sqrt(I - L_j) (x) |1>
     sigma = rho_mat
     for l, gentle in pieces:
@@ -400,7 +489,7 @@ def union_bound_check(lambdas: Sequence[np.ndarray], rho) -> UnionBoundResult:
     tr_rho = float(np.real(np.trace(rho_mat)))
     lhs = tr_rho - lam_hat_trace
     rhs = 2 * math.sqrt(max(0.0, sum(
-        float(np.real(np.trace((np.eye(d) - l) @ rho_mat))) for l in mats)))
+        float(np.real(np.einsum("ij,ji->", np.eye(d) - l, rho_mat))) for l in mats)))
     result = UnionBoundResult(lhs, rhs, lam_hat_trace, chain_trace)
     if not result.holds:
         raise AssertionError(f"union bound violated: lhs {lhs} > rhs {rhs}")
@@ -531,17 +620,11 @@ def build_qmap_code(rho: DensityMatrix, senders: Sequence, b: Sequence[str],
             raise ValueError(f"unknown family kind {family!r}")
 
     sizes = [fam.size for fam in families]
-    encoded = []
-    for k_tuple in product(*[range(s) for s in sizes]):
-        state = rho_n
-        for fam, group, k in zip(families, copy_groups, k_tuple):
-            state = apply_unitary(state, fam.block(k), list(group))
-        encoded.append(state)
     if decoder == "pgm":
-        index_povm = pgm_decoder(encoded, [1.0 / len(encoded)] * len(encoded))
-        index_elements = list(index_povm.elements[: len(encoded)])
-        completion = (list(index_povm.elements[len(encoded):])
-                      if len(index_povm) > len(encoded) else [])
+        k_tuples = list(product(*[range(s) for s in sizes]))
+        _, index_povm = encoded_pgm(rho_n, families, copy_groups, k_tuples)
+        index_elements = list(index_povm.elements[: len(k_tuples)])
+        completion = list(index_povm.elements[len(k_tuples):])
     elif decoder == "sequential":
         index_povm, _ = sequential_decoder(
             rho_n, copy_groups, list(b_copies) + list(e_copies), families)
@@ -587,18 +670,12 @@ def evaluate_code(code: CodeSpec, rho: DensityMatrix,
 
     # exact per-message states: uniform mixture of the block unitaries
     def encoded_message(m_tuple):
+        k_tuples = [[m * l_z + l for m, l_z, l in zip(m_tuple, code.block_sizes, l_tuple)]
+                    for l_tuple in product(*[range(l) for l in code.block_sizes])]
         acc = np.zeros((rho_n.dim, rho_n.dim), dtype=complex)
-        blocks = 1
-        for l in code.block_sizes:
-            blocks *= l
-        for l_tuple in product(*[range(l) for l in code.block_sizes]):
-            state = rho_n
-            for fam, group, m, l, l_z in zip(code.families, code.sender_groups,
-                                             m_tuple, l_tuple, code.block_sizes):
-                k = m * l_z + l
-                state = apply_unitary(state, fam.block(k), list(group))
+        for state in encode(rho_n, code.families, code.sender_groups, k_tuples):
             acc += state.matrix
-        return acc / blocks
+        return acc / len(k_tuples)
 
     total_messages = code.message_space
     exact = total_messages <= max_messages
@@ -622,7 +699,8 @@ def evaluate_code(code: CodeSpec, rho: DensityMatrix,
     bar_e = (partial_trace(bar_state, e_copies) if e_copies else None)
     for m_tuple, mat in zip(message_tuples, states):
         idx = _flat_index(m_tuple, code.message_counts)
-        success_samples.append(float(np.real(np.trace(code.decoder.elements[idx] @ mat))))
+        success_samples.append(
+            float(np.real(np.einsum("ij,ji->", code.decoder.elements[idx], mat))))
         msg_state = DensityMatrix(mat, rho_n.layout)
         msg_leak = partial_trace(msg_state, leak_labels)
         leak_samples.append(trace_norm(msg_leak.matrix - bar_leak.matrix))

@@ -5,6 +5,24 @@ All values are immutable after construction and every operation is a pure
 function, so everything here is safe to share across threads.
 
 Entropies are in bits throughout.
+
+Validation contract: every constructed `DensityMatrix` (and every POVM
+element in `qmap.protocols`) gets a PSD decision against its tolerance
+`tol`, made by `psd_violation`. It first tries a Cholesky factorization of
+h + (tol/2) I. A factorization that runs to completion is exact for a
+perturbed matrix h + (tol/2) I + E with ||E||_2 <= (d+1) eps tr(h + (tol/2) I)
+(the componentwise backward-error bound, summed through Cauchy-Schwarz on
+the columns of the factor), so min eig(h) >= -tol/2 - ||E||_2. The
+certificate is accepted only when twice that bound (the factor two covers
+complex arithmetic and higher-order terms) is below tol/2, which leaves
+min eig(h) > -tol; for a unit-trace state this holds for every dimension
+up to 2^14. When the factorization fails, or the bound does not
+fit, the decision falls back to the exact `eigvalsh` comparison, so the
+tolerance and the accept/reject outcome are those of an eigenvalue check.
+
+Local operators act by contracting only the acted-on tensor axes
+(`apply_unitary`, `apply_local`, `conjugate_local`); `embed_operator` builds
+the full operator and is kept as the plain reference.
 """
 
 from __future__ import annotations
@@ -98,6 +116,28 @@ def _as_square_complex(matrix) -> np.ndarray:
     return m
 
 
+def psd_violation(h: np.ndarray, tol: float) -> float | None:
+    """None if the Hermitian matrix `h` is PSD within `tol`, else its minimum
+    eigenvalue (which is below -tol).
+
+    A Cholesky factorization of h + (tol/2) I certifies min eig(h) > -tol
+    when its backward-error bound fits in the other tol/2 (see the module
+    docstring); otherwise the minimum eigenvalue is computed with `eigvalsh`.
+    """
+    d = h.shape[0]
+    shifted = h.copy()
+    shifted.flat[::d + 1] += tol / 2
+    error_bound = 2 * (d + 1) * np.finfo(float).eps * np.sum(np.abs(np.diag(shifted)))
+    if error_bound < tol / 2:
+        try:
+            np.linalg.cholesky(shifted)
+            return None
+        except np.linalg.LinAlgError:
+            pass
+    min_eig = float(np.min(np.linalg.eigvalsh(h)))
+    return min_eig if min_eig < -tol else None
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
     """Hermitian PSD matrix bound to a layout.
@@ -115,10 +155,11 @@ class DensityMatrix:
         if m.shape[0] != self.layout.dim:
             raise DimensionError(
                 f"matrix dim {m.shape[0]} != layout dim {self.layout.dim}")
-        if np.max(np.abs(m - m.conj().T)) > HERMITIAN_TOL:
+        mh = m.conj().T
+        if np.max(np.abs(m - mh)) > HERMITIAN_TOL:
             raise StateValidationError("matrix is not Hermitian within tolerance")
-        min_eig = float(np.min(np.linalg.eigvalsh((m + m.conj().T) / 2)))
-        if min_eig < -PSD_TOL:
+        min_eig = psd_violation((m + mh) / 2, PSD_TOL)
+        if min_eig is not None:
             raise StateValidationError(f"matrix is not PSD: min eigenvalue {min_eig}")
         tr = float(np.real(np.trace(m)))
         if self.subnormalized:
@@ -228,15 +269,65 @@ def embed_operator(op, op_labels: Sequence[str], layout: SystemLayout) -> np.nda
     return full
 
 
+def _contract_local(m: np.ndarray, op, on: Sequence[str], layout: SystemLayout,
+                    conjugate: bool) -> np.ndarray:
+    """(O x I) m, or (O x I) m (O x I)^dag when `conjugate`, for an operator O
+    on the `on` factors (in that order), contracting only the acted-on axes.
+
+    The `on` factors are moved to the front of the rows (and of the columns
+    when conjugating), O multiplies the grouped rows and conj(O) the grouped
+    columns, and the factors are moved back. No layout-sized operator is built.
+    """
+    op = _as_square_complex(op)
+    layout._check_known(on)
+    if len(set(on)) != len(on):
+        raise LabelError(f"repeated labels {list(on)}")
+    d_on = layout.dim_of(on)
+    if op.shape[0] != d_on:
+        raise DimensionError(f"operator dim {op.shape[0]} != selected dim {d_on}")
+    dims = layout.dims
+    k = len(dims)
+    front = [layout.index(lab) for lab in on]
+    perm = front + [i for i in range(k) if i not in front]
+    inverse = list(np.argsort(perm))
+    moved = [dims[i] for i in perm]
+    d, d_rest = layout.dim, layout.dim // d_on
+    if conjugate:
+        t = m.reshape(dims + dims).transpose(perm + [k + i for i in perm])
+        t = (op @ t.reshape(d_on, -1)).reshape(d_on * d_rest, d_on, d_rest)
+        t = np.matmul(op.conj(), t).reshape(moved + moved)
+        return t.transpose(inverse + [k + i for i in inverse]).reshape(d, d)
+    cols = m.shape[1]
+    t = m.reshape(dims + (cols,)).transpose(perm + [k])
+    t = (op @ t.reshape(d_on, -1)).reshape(moved + [cols])
+    return t.transpose(inverse + [k]).reshape(d, cols)
+
+
+def apply_local(m, op, on: Sequence[str], layout: SystemLayout) -> np.ndarray:
+    """(O x I) m for an operator O on the `on` factors and a matrix m whose
+    rows are indexed by `layout` (any number of columns)."""
+    m = np.asarray(m, dtype=complex)
+    if m.ndim != 2 or m.shape[0] != layout.dim:
+        raise DimensionError(f"matrix shape {m.shape} does not match layout dim {layout.dim}")
+    return _contract_local(m, op, on, layout, conjugate=False)
+
+
+def conjugate_local(m, op, on: Sequence[str], layout: SystemLayout) -> np.ndarray:
+    """(O x I) m (O x I)^dag for an operator O on the `on` factors."""
+    m = _as_square_complex(m)
+    if m.shape[0] != layout.dim:
+        raise DimensionError(f"matrix dim {m.shape[0]} != layout dim {layout.dim}")
+    return _contract_local(m, op, on, layout, conjugate=True)
+
+
 def apply_unitary(s: DensityMatrix, u, on: Sequence[str]) -> DensityMatrix:
     """Conjugate the state by a unitary acting on the `on` factors.
 
     `u` may be a UnitaryMatrix or a bare matrix; `on` fixes the factor order
     the unitary is written in.
     """
-    um = u.matrix if isinstance(u, UnitaryMatrix) else _as_square_complex(u)
-    full = embed_operator(um, on, s.layout)
-    return DensityMatrix(full @ s.matrix @ full.conj().T, s.layout,
+    um = u.matrix if isinstance(u, UnitaryMatrix) else u
+    return DensityMatrix(conjugate_local(s.matrix, um, on, s.layout), s.layout,
                          subnormalized=s.subnormalized)
 
 
