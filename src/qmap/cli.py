@@ -83,12 +83,8 @@ def _write_csv(out_dir: Path, name: str, content: str) -> Path:
 
 
 def _region_tables(spec: ResolvedSpec):
-    chat = regions.chat_from_state(spec.state, spec.senders,
-                                   spec.receiver + spec.eavesdropper)
-    dhat = regions.dhat_from_state(spec.state, spec.senders, spec.eavesdropper)
-    region = regions.main_region(spec.state, spec.senders, spec.receiver,
+    return regions.region_tables(spec.state, spec.senders, spec.receiver,
                                  spec.eavesdropper)
-    return chat, dhat, region
 
 
 def cmd_region(spec: ResolvedSpec, config: dict, out_dir: Path) -> int:
@@ -304,8 +300,7 @@ def _lemma_separation_suite(seed: int, sizes: list[int], trials: int) -> dict:
                 [(f"A{i}", 2) for i in range(1, z + 1)] + [("B", 2), ("E", 2)]))
             rho = random_density(layout, layout.dim, rng)
             senders = [f"A{i}" for i in range(1, z + 1)]
-            chat = regions.chat_from_state(rho, senders, ["B", "E"])
-            dhat = regions.dhat_from_state(rho, senders, ["E"])
+            chat, dhat, _ = regions.region_tables(rho, senders, ["B"], ["E"])
             gaps = [chat.at(m) - dhat.at(m) for m in range(1, 1 << z)]
             if min(gaps) <= 1e-6:
                 continue  # no strict interior to split in
@@ -413,7 +408,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except (SpecError, LabelError, ValueError) as exc:
-        if isinstance(exc, StateValidationError):
+        if isinstance(exc, (StateValidationError, regions.InvariantError)):
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_INVARIANT
         print(f"error: {exc}", file=sys.stderr)

@@ -94,6 +94,19 @@ def _preset(name: str, params: dict) -> ResolvedSpec:
 
 
 def _parse_matrix(entries, dim: int) -> np.ndarray:
+    try:
+        pairs = np.asarray(entries, dtype=float)
+    except (TypeError, ValueError):
+        pairs = None
+    # numpy reads None as NaN; NaN goes through the per-entry path
+    if (pairs is not None and pairs.shape == (dim, dim, 2)
+            and not np.isnan(pairs).any()):
+        # set both parts, never re + 1j*im, so each entry is bit-exact
+        m = np.empty((dim, dim), dtype=complex)
+        m.real = pairs[..., 0]
+        m.imag = pairs[..., 1]
+        return m
+    # malformed: the per-entry checks below name the offending path
     m = np.zeros((dim, dim), dtype=complex)
     if len(entries) != dim:
         raise SpecError(f"matrix must have {dim} rows, got {len(entries)}", "$.matrix")
@@ -103,7 +116,11 @@ def _parse_matrix(entries, dim: int) -> np.ndarray:
         for j, pair in enumerate(row):
             if len(pair) != 2:
                 raise SpecError("entries must be [re, im] pairs", f"$.matrix[{i}][{j}]")
-            m[i, j] = complex(float(pair[0]), float(pair[1]))
+            try:
+                m[i, j] = complex(float(pair[0]), float(pair[1]))
+            except (TypeError, ValueError) as exc:
+                raise SpecError(f"entries must be numbers: {exc}",
+                                f"$.matrix[{i}][{j}]") from exc
     return m
 
 

@@ -10,21 +10,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import permutations
 from typing import Iterable, Sequence
 
 import numpy as np
 from scipy.optimize import linprog
 
-from .qstate import (
-    DensityMatrix,
-    LabelError,
-    conditional_entropy,
-    conditional_mutual_information,
-)
+from .qstate import DensityMatrix, LabelError, entropy, partial_trace
 
 ENTROPIC_TOL = 1e-9
+
+
+class InvariantError(ValueError):
+    """An internal consistency check failed: a defect in qmap, not in its input."""
 
 
 class SeparationError(ValueError):
@@ -167,12 +165,31 @@ def _check_roles(rho: DensityMatrix, groups: list[tuple[str, ...]], *extra) -> N
         seen |= g
 
 
-def chat_from_state(rho: DensityMatrix, senders: Sequence, v: Iterable[str]) -> SetFunction:
-    """Encoding-capacity table: sum_Gamma log d_z - S(A_Gamma | A_Gamma_c V)."""
-    groups = _normalize_senders(senders)
-    v = tuple(v)
-    _check_roles(rho, groups, v)
-    log_dims = _sender_log_dims(rho, groups)
+def _entropy_table(rho: DensityMatrix):
+    """Lazy map from a label set to S(rho restricted to it) in bits.
+
+    Each entry is computed once, through `partial_trace` and `entropy` with
+    their validation, and S(empty set) = 0. The table lives for one call of a
+    public table builder.
+    """
+    cache: dict[frozenset, float] = {frozenset(): 0.0}
+
+    def s(labels) -> float:
+        key = frozenset(labels)
+        if key not in cache:
+            cache[key] = entropy(partial_trace(rho, key))
+        return cache[key]
+
+    return s
+
+
+def _conditional(s, a: set[str], b: set[str]) -> float:
+    """S(a|b) = S(ab) - S(b), in the order of `qstate.conditional_entropy`."""
+    return s(a | b) - s(b)
+
+
+def _chat(s, groups: list[tuple[str, ...]], log_dims: list[float],
+          v: tuple[str, ...]) -> SetFunction:
     z = len(groups)
     values = [0.0] * (1 << z)
     all_mask = (1 << z) - 1
@@ -180,8 +197,27 @@ def chat_from_state(rho: DensityMatrix, senders: Sequence, v: Iterable[str]) -> 
         a_g = _mask_labels(groups, mask)
         cond = _mask_labels(groups, all_mask & ~mask) | set(v)
         values[mask] = (sum(log_dims[i] for i in range(z) if mask >> i & 1)
-                        - conditional_entropy(rho, a_g, cond))
+                        - _conditional(s, a_g, cond))
     return SetFunction(z, tuple(values))
+
+
+def _dhat(s, groups: list[tuple[str, ...]], log_dims: list[float],
+          w: tuple[str, ...]) -> SetFunction:
+    z = len(groups)
+    values = [0.0] * (1 << z)
+    for mask in range(1, 1 << z):
+        a_g = _mask_labels(groups, mask)
+        values[mask] = (sum(log_dims[i] for i in range(z) if mask >> i & 1)
+                        - _conditional(s, a_g, set(w)))
+    return SetFunction(z, tuple(values))
+
+
+def chat_from_state(rho: DensityMatrix, senders: Sequence, v: Iterable[str]) -> SetFunction:
+    """Encoding-capacity table: sum_Gamma log d_z - S(A_Gamma | A_Gamma_c V)."""
+    groups = _normalize_senders(senders)
+    v = tuple(v)
+    _check_roles(rho, groups, v)
+    return _chat(_entropy_table(rho), groups, _sender_log_dims(rho, groups), v)
 
 
 def dhat_from_state(rho: DensityMatrix, senders: Sequence, w: Iterable[str]) -> SetFunction:
@@ -189,14 +225,7 @@ def dhat_from_state(rho: DensityMatrix, senders: Sequence, w: Iterable[str]) -> 
     groups = _normalize_senders(senders)
     w = tuple(w)
     _check_roles(rho, groups, w)
-    log_dims = _sender_log_dims(rho, groups)
-    z = len(groups)
-    values = [0.0] * (1 << z)
-    for mask in range(1, 1 << z):
-        a_g = _mask_labels(groups, mask)
-        values[mask] = (sum(log_dims[i] for i in range(z) if mask >> i & 1)
-                        - conditional_entropy(rho, a_g, set(w)))
-    return SetFunction(z, tuple(values))
+    return _dhat(_entropy_table(rho), groups, _sender_log_dims(rho, groups), w)
 
 
 def dcheck_from_dhat(dhat: SetFunction, log_dims: Sequence[float]) -> SetFunction:
@@ -210,12 +239,14 @@ def dcheck_from_dhat(dhat: SetFunction, log_dims: Sequence[float]) -> SetFunctio
     return SetFunction(dhat.z_count, tuple(values))
 
 
-def main_region(rho: DensityMatrix, senders: Sequence, b: Iterable[str],
-                e: Iterable[str]) -> RateRegion:
-    """Achievable-rate constraints: sum_Gamma R_z <= I(A_Gamma : A_Gamma_c B | E).
+def region_tables(rho: DensityMatrix, senders: Sequence, b: Iterable[str],
+                  e: Iterable[str]) -> tuple[SetFunction, SetFunction, RateRegion]:
+    """chat (V = B E), dhat (W = E) and the main region, from one entropy table.
 
-    Also cross-checks each bound against chat - dhat (with the receiver and
-    eavesdropper systems playing the conditioning roles) within 1e-9.
+    The region holds sum_Gamma R_z <= I(A_Gamma : A_Gamma_c B | E) per nonempty
+    Gamma. Each bound is cross-checked against chat - dhat within
+    ENTROPIC_TOL; a mismatch raises InvariantError. With a nonempty B and E
+    the three cost 2^(Z+1) marginal entropies.
     """
     groups = _normalize_senders(senders)
     b, e = tuple(b), tuple(e)
@@ -224,22 +255,34 @@ def main_region(rho: DensityMatrix, senders: Sequence, b: Iterable[str],
     if covered != set(rho.layout.labels):
         raise LabelError(
             f"roles must cover the layout; missing {sorted(set(rho.layout.labels) - covered)}")
+    s = _entropy_table(rho)
+    log_dims = _sender_log_dims(rho, groups)
+    chat = _chat(s, groups, log_dims, b + e)
+    dhat = _dhat(s, groups, log_dims, e)
     z = len(groups)
     all_mask = (1 << z) - 1
-    chat = chat_from_state(rho, groups, b + e)
-    dhat = dhat_from_state(rho, groups, e)
     bounds = [0.0] * (1 << z)
     for mask in range(1, 1 << z):
         a_g = _mask_labels(groups, mask)
         rest = _mask_labels(groups, all_mask & ~mask) | set(b)
-        cmi = conditional_mutual_information(rho, a_g, rest, set(e))
+        # I(A:R|E) = S(A|E) - S(A|RE), as qstate.conditional_mutual_information
+        cmi = _conditional(s, a_g, set(e)) - _conditional(s, a_g, rest | set(e))
         diff = chat.at(mask) - dhat.at(mask)
-        if abs(cmi - diff) > ENTROPIC_TOL:
-            raise ValueError(
+        if not abs(cmi - diff) <= ENTROPIC_TOL:  # a NaN fails too
+            raise InvariantError(
                 f"region identity violated at {subsets_of(mask)}: "
                 f"I = {cmi}, chat - dhat = {diff}")
         bounds[mask] = cmi
-    return RateRegion(z, tuple(bounds), "<=")
+    return chat, dhat, RateRegion(z, tuple(bounds), "<=")
+
+
+def main_region(rho: DensityMatrix, senders: Sequence, b: Iterable[str],
+                e: Iterable[str]) -> RateRegion:
+    """Achievable-rate constraints: sum_Gamma R_z <= I(A_Gamma : A_Gamma_c B | E).
+
+    The third item of `region_tables`, with its chat - dhat cross-check.
+    """
+    return region_tables(rho, senders, b, e)[2]
 
 
 @dataclass(frozen=True)
@@ -312,21 +355,18 @@ def _greedy_vertex(f: SetFunction, order: Sequence[int]) -> tuple[float, ...]:
 
 
 def _verify_vertex(f: SetFunction, order: Sequence[int], region: RateRegion,
-                   tol: float) -> None:
+                   tol: float) -> tuple[float, ...]:
+    """The greedy vertex of `order`, checked to lie in `region`.
+
+    Edmonds' greedy theorem puts it there once the table passed its
+    precondition, so a miss is an InvariantError.
+    """
     vertex = _greedy_vertex(f, order)
     res = membership(region, vertex, tol)
     if not res.member:
-        raise ValueError(
+        raise InvariantError(
             f"greedy vertex {vertex} violates {res.worst_subset} by {-res.worst_margin}")
-    # chain saturation, verified in exact rational arithmetic of the table values
-    prev = 0
-    total = Fraction(0)
-    for z in order:
-        cur = prev | 1 << (z - 1)
-        total += Fraction(f.at(cur)) - Fraction(f.at(prev))
-        if total != Fraction(f.at(cur)):
-            raise ValueError(f"chain constraint {subsets_of(cur)} not saturated exactly")
-        prev = cur
+    return vertex
 
 
 def polymatroid_vertices(f: SetFunction) -> list[tuple[float, ...]]:
@@ -338,8 +378,7 @@ def polymatroid_vertices(f: SetFunction) -> list[tuple[float, ...]]:
     region = region_from_set_function(f, "<=")
     seen: dict[tuple[float, ...], None] = {}
     for order in permutations(range(1, f.z_count + 1)):
-        _verify_vertex(f, order, region, ENTROPIC_TOL)
-        seen.setdefault(_greedy_vertex(f, order))
+        seen.setdefault(_verify_vertex(f, order, region, ENTROPIC_TOL))
     return list(seen)
 
 
@@ -361,8 +400,7 @@ def contrapolymatroid_vertices(d: SetFunction,
     region = region_from_set_function(d, ">=")
     seen: dict[tuple[float, ...], None] = {}
     for order in permutations(range(1, d.z_count + 1)):
-        _verify_vertex(d, order, region, ENTROPIC_TOL)
-        seen.setdefault(_greedy_vertex(d, order))
+        seen.setdefault(_verify_vertex(d, order, region, ENTROPIC_TOL))
     return list(seen)
 
 
