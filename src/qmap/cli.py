@@ -19,13 +19,7 @@ import numpy as np
 from . import protocols, regions
 from .presets import ResolvedSpec, SpecError, resolve_state_spec
 from .protocols import BudgetError
-from .qstate import (
-    LabelError,
-    StateValidationError,
-    partial_trace,
-    random_density,
-    SystemLayout,
-)
+from .qstate import StateValidationError, SystemLayout, random_density
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -74,12 +68,11 @@ def _write_json(out_dir: Path, name: str, payload: dict) -> Path:
     return path
 
 
-def _write_csv(out_dir: Path, name: str, content: str) -> Path:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / f"{name}.csv"
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(content)
-    return path
+def _write_report(out_dir: Path, name: str, report: protocols.SimulationReport) -> None:
+    """`<name>.json` and `<name>.csv` of a simulation report."""
+    _write_json(out_dir, name, report.to_json())
+    with open(out_dir / f"{name}.csv", "w", encoding="utf-8", newline="") as fh:
+        fh.write(report.to_csv())
 
 
 def _region_tables(spec: ResolvedSpec):
@@ -87,7 +80,7 @@ def _region_tables(spec: ResolvedSpec):
                                  spec.eavesdropper)
 
 
-def cmd_region(spec: ResolvedSpec, config: dict, out_dir: Path) -> int:
+def cmd_region(spec: ResolvedSpec, config: dict, out_dir: Path, seed: None) -> int:
     chat, dhat, region = _region_tables(spec)
     residuals = [
         {"subset": list(regions.subsets_of(m)),
@@ -110,7 +103,7 @@ def _rates_from_config(config: dict, z: int) -> list[float]:
     return [float(r) for r in rates]
 
 
-def cmd_check(spec: ResolvedSpec, config: dict, out_dir: Path) -> int:
+def cmd_check(spec: ResolvedSpec, config: dict, out_dir: Path, seed: None) -> int:
     _, _, region = _region_tables(spec)
     rates = _rates_from_config(config, region.z_count)
     slack = float(config.get("slack", 1e-9))
@@ -126,7 +119,7 @@ def cmd_check(spec: ResolvedSpec, config: dict, out_dir: Path) -> int:
     return EXIT_OK
 
 
-def cmd_split(spec: ResolvedSpec, config: dict, out_dir: Path) -> int:
+def cmd_split(spec: ResolvedSpec, config: dict, out_dir: Path, seed: None) -> int:
     chat, dhat, region = _region_tables(spec)
     rates = _rates_from_config(config, region.z_count)
     try:
@@ -153,6 +146,10 @@ def _require_seed(args, config: dict) -> int:
     return int(seed)
 
 
+def _seed_or_zero(args, config: dict) -> int:
+    return args.seed if args.seed is not None else 0
+
+
 def cmd_simulate_randomization(spec: ResolvedSpec, config: dict, out_dir: Path,
                                seed: int) -> int:
     n = int(config.get("n", 1))
@@ -167,53 +164,20 @@ def cmd_simulate_randomization(spec: ResolvedSpec, config: dict, out_dir: Path,
     report = protocols.chained_randomization_experiment(
         spec.state, spec.senders, w_labels, n, [int(x) for x in block_sizes],
         trials, seed, family=family, max_dim=max_dim)
-    _write_json(out_dir, "simulate-randomization", report.to_json())
-    _write_csv(out_dir, "simulate-randomization", report.to_csv())
+    _write_report(out_dir, "simulate-randomization", report)
     return EXIT_OK
 
 
 def cmd_simulate_encoding(spec: ResolvedSpec, config: dict, out_dir: Path,
                           seed: int) -> int:
-    """Sweep family sizes; for each size and trial, PGM-decode the encoded
-    index states and record the average success probability."""
-    from .qstate import tensor_power
-    from itertools import product as iproduct
-
     n = int(config.get("n", 1))
     k_sweep = [int(k) for k in config.get("k_sweep", [1, 2, 4])]
     trials = int(config.get("trials", 1))
     family = config.get("family", "haar")
-    check_budget(n, spec.state.dim)
-    rho_n = tensor_power(spec.state, n)
-    copy_groups = [tuple(f"{lab}_{i}" for i in range(1, n + 1) for lab in g)
-                   for g in spec.senders]
-    samples: dict[str, list[float]] = {f"success_K{k}": [] for k in k_sweep}
-    for k in k_sweep:
-        for t in range(trials):
-            fams = []
-            for z, g in enumerate(spec.senders, start=1):
-                d = spec.state.layout.dim_of(g)
-                if family == "haar":
-                    fams.append(protocols.UnitaryFamily(
-                        z, n, d,
-                        tuple(tuple(protocols.haar_unitary(
-                            d, protocols.derived_rng(seed, k, t, z, kk, i))
-                            for i in range(n)) for kk in range(k)),
-                        kind="haar", seed=(seed, k, t, z)))
-                elif family == "pauli":
-                    fams.append(protocols.pauli_family(z, n, d, size=k))
-                else:
-                    raise SpecError(f"unknown family {family!r}", "$.family")
-            k_tuples = list(iproduct(*[range(f.size) for f in fams]))
-            encoded, povm = protocols.encoded_pgm(rho_n, fams, copy_groups, k_tuples)
-            samples[f"success_K{k}"].append(protocols.povm_success(povm, encoded))
-    samples_t = {name: tuple(vals) for name, vals in samples.items()}
-    estimates = {name: float(np.mean(vals)) for name, vals in samples_t.items()}
-    report = protocols.SimulationReport(trials, estimates, samples_t, seed,
-                                        {"k_sweep": k_sweep, "n": n,
-                                         "family_kind": family})
-    _write_json(out_dir, "simulate-encoding", report.to_json())
-    _write_csv(out_dir, "simulate-encoding", report.to_csv())
+    max_dim = check_budget(n, spec.state.dim)
+    report = protocols.encoding_experiment(spec.state, spec.senders, n, k_sweep, trials,
+                                           seed, family=family, max_dim=max_dim)
+    _write_report(out_dir, "simulate-encoding", report)
     return EXIT_OK
 
 
@@ -236,10 +200,17 @@ def cmd_simulate_code(spec: ResolvedSpec, config: dict, out_dir: Path,
     code = protocols.build_qmap_code(
         spec.state, spec.senders, spec.receiver, spec.eavesdropper, n, rates,
         splits, seed, family=family, decoder=decoder, max_dim=max_dim)
-    report = protocols.evaluate_code(code, spec.state)
-    _write_json(out_dir, "simulate-code", report.to_json())
-    _write_csv(out_dir, "simulate-code", report.to_csv())
+    _write_report(out_dir, "simulate-code", protocols.evaluate_code(code, spec.state))
     return EXIT_OK
+
+
+def _lemma_state(seed: int, suite: int, z: int, trial: int, rest: tuple[str, ...]):
+    """Random full-rank qubit state on A1..Az plus the `rest` factors, from the
+    stream (seed, suite, z, trial), and its sender labels."""
+    senders = [f"A{i}" for i in range(1, z + 1)]
+    layout = SystemLayout(tuple((lab, 2) for lab in senders + list(rest)))
+    rho = random_density(layout, layout.dim, protocols.derived_rng(seed, suite, z, trial))
+    return rho, senders
 
 
 def _lemma_structure_suite(seed: int, sizes: list[int], states_per_size: int) -> dict:
@@ -248,13 +219,9 @@ def _lemma_structure_suite(seed: int, sizes: list[int], states_per_size: int) ->
     results = {"passed": True, "cases": 0, "failures": []}
     for z in sizes:
         for trial in range(states_per_size):
-            rng = protocols.derived_rng(seed, 1, z, trial)
-            layout = SystemLayout(tuple(
-                [(f"A{i}", 2) for i in range(1, z + 1)] + [("V", 2)]))
-            rho = random_density(layout, layout.dim, rng)
-            senders = [f"A{i}" for i in range(1, z + 1)]
-            chat = regions.chat_from_state(rho, senders, ["V"])
-            dhat = regions.dhat_from_state(rho, senders, ["V"])
+            rho, senders = _lemma_state(seed, 1, z, trial, ("V",))
+            # with B empty, chat's V = B E and dhat's W = E are both V: one table
+            chat, dhat, _ = regions.region_tables(rho, senders, (), ("V",))
             dcheck = regions.dcheck_from_dhat(dhat, [1.0] * z)
             for name, table, kind in (
                     ("chat", chat, "subadditive-monotone"),
@@ -274,13 +241,8 @@ def _lemma_vertices_suite(seed: int, sizes: list[int], states_per_size: int) -> 
     results = {"passed": True, "cases": 0, "failures": []}
     for z in sizes:
         for trial in range(states_per_size):
-            rng = protocols.derived_rng(seed, 2, z, trial)
-            layout = SystemLayout(tuple(
-                [(f"A{i}", 2) for i in range(1, z + 1)] + [("V", 2)]))
-            rho = random_density(layout, layout.dim, rng)
-            senders = [f"A{i}" for i in range(1, z + 1)]
-            chat = regions.chat_from_state(rho, senders, ["V"])
-            dhat = regions.dhat_from_state(rho, senders, ["V"])
+            rho, senders = _lemma_state(seed, 2, z, trial, ("V",))
+            chat, dhat, _ = regions.region_tables(rho, senders, (), ("V",))
             results["cases"] += 1
             try:
                 regions.polymatroid_vertices(chat)
@@ -295,11 +257,7 @@ def _lemma_separation_suite(seed: int, sizes: list[int], trials: int) -> dict:
     results = {"passed": True, "cases": 0, "failures": []}
     for z in sizes:
         for trial in range(trials):
-            rng = protocols.derived_rng(seed, 3, z, trial)
-            layout = SystemLayout(tuple(
-                [(f"A{i}", 2) for i in range(1, z + 1)] + [("B", 2), ("E", 2)]))
-            rho = random_density(layout, layout.dim, rng)
-            senders = [f"A{i}" for i in range(1, z + 1)]
+            rho, senders = _lemma_state(seed, 3, z, trial, ("B", "E"))
             chat, dhat, _ = regions.region_tables(rho, senders, ["B"], ["E"])
             gaps = [chat.at(m) - dhat.at(m) for m in range(1, 1 << z)]
             if min(gaps) <= 1e-6:
@@ -340,7 +298,7 @@ def _lemma_union_bound_suite(seed: int, trials: int, dim: int = 8) -> dict:
     return results
 
 
-def cmd_verify_lemmas(config: dict, out_dir: Path, seed: int) -> int:
+def cmd_verify_lemmas(spec: None, config: dict, out_dir: Path, seed: int) -> int:
     sizes = [int(z) for z in config.get("sizes", [2, 3])]
     states_per_size = int(config.get("states_per_size", 10))
     union_trials = int(config.get("union_trials", 100))
@@ -364,16 +322,27 @@ def cmd_verify_lemmas(config: dict, out_dir: Path, seed: int) -> int:
     return EXIT_OK if payload["passed"] else EXIT_INVARIANT
 
 
+# command -> (handler, takes --spec, resolves the master seed from args and config)
+COMMANDS = {
+    "region": (cmd_region, True, None),
+    "check": (cmd_check, True, None),
+    "split": (cmd_split, True, None),
+    "simulate-randomization": (cmd_simulate_randomization, True, _require_seed),
+    "simulate-encoding": (cmd_simulate_encoding, True, _require_seed),
+    "simulate-code": (cmd_simulate_code, True, _require_seed),
+    "verify-lemmas": (cmd_verify_lemmas, False, _seed_or_zero),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qmap",
         description="Rate regions and coding simulations for the "
                     "quantum multiple-access one-time pad")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("region", "check", "split", "simulate-randomization",
-                 "simulate-encoding", "simulate-code", "verify-lemmas"):
+    for name, (_, takes_spec, _) in COMMANDS.items():
         p = sub.add_parser(name)
-        if name != "verify-lemmas":
+        if takes_spec:
             p.add_argument("--spec", required=True, help="state spec JSON file")
         p.add_argument("--config", help="experiment config JSON file")
         p.add_argument("--out", required=True, help="output directory")
@@ -383,34 +352,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    out_dir = Path(args.out)
+    handler, takes_spec, resolve_seed = COMMANDS[args.command]
     try:
         config = _load_json(args.config, "config") if args.config else {}
-        if args.command == "verify-lemmas":
-            return cmd_verify_lemmas(config, out_dir,
-                                     args.seed if args.seed is not None else 0)
-        spec = resolve_state_spec(_load_json(args.spec, "spec"))
-        if args.command == "region":
-            return cmd_region(spec, config, out_dir)
-        if args.command == "check":
-            return cmd_check(spec, config, out_dir)
-        if args.command == "split":
-            return cmd_split(spec, config, out_dir)
-        seed = _require_seed(args, config)
-        if args.command == "simulate-randomization":
-            return cmd_simulate_randomization(spec, config, out_dir, seed)
-        if args.command == "simulate-encoding":
-            return cmd_simulate_encoding(spec, config, out_dir, seed)
-        if args.command == "simulate-code":
-            return cmd_simulate_code(spec, config, out_dir, seed)
-        raise SpecError(f"unknown command {args.command!r}")
+        spec = resolve_state_spec(_load_json(args.spec, "spec")) if takes_spec else None
+        seed = resolve_seed(args, config) if resolve_seed else None
+        return handler(spec, config, Path(args.out), seed)
     except BudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (SpecError, LabelError, ValueError) as exc:
-        if isinstance(exc, (StateValidationError, regions.InvariantError)):
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_INVARIANT
+    except (StateValidationError, regions.InvariantError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INVARIANT
+    except ValueError as exc:  # SpecError, LabelError and other input errors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except AssertionError as exc:

@@ -30,6 +30,7 @@ from .qstate import (
     apply_local,
     apply_unitary,
     conjugate_local,
+    label_groups,
     maximally_mixed,
     partial_trace,
     permute_factors,
@@ -119,6 +120,34 @@ class UnitaryFamily:
         return u
 
 
+def make_family(kind: str, z: int, n: int, d: int, size: int, master_seed,
+                prefix: Sequence[int] = ()) -> UnitaryFamily:
+    """Sender z's family of `size` tensor-product unitaries on n copies of a
+    d-dim system: "haar", "pauli" (`pauli_family`) or "identity".
+
+    For "haar" with an integer `master_seed`, factor (k, i) is drawn from
+    derived_rng(master_seed, *prefix, k, i) and the family records
+    seed=(master_seed, *prefix), so each caller's prefix fixes its seed path.
+    A Generator `master_seed` supplies the factors sequentially instead.
+    """
+    if kind == "pauli":
+        return pauli_family(z, n, d, size=size)
+    if kind == "identity":
+        return identity_family(z, n, d, size=size)
+    if kind != "haar":
+        raise ValueError(f"unknown family kind {kind!r}")
+    if size < 1 or n < 1:
+        raise ValueError("K and n must be >= 1")
+    seed = None
+    if isinstance(master_seed, (int, np.integer)):
+        seed = (int(master_seed), *prefix)
+        streams = [[derived_rng(*seed, k, i) for i in range(n)] for k in range(size)]
+    else:
+        streams = [[master_seed] * n] * size
+    per_index = tuple(tuple(haar_unitary(d, rng) for rng in copies) for copies in streams)
+    return UnitaryFamily(z, n, d, per_index, kind="haar", seed=seed)
+
+
 def sample_family(z: int, n: int, K: int, d: int, rng) -> UnitaryFamily:
     """K independent Haar tensor-product unitaries.
 
@@ -126,18 +155,7 @@ def sample_family(z: int, n: int, K: int, d: int, rng) -> UnitaryFamily:
     master seed, in which case each (z, k, i) factor gets its own counter
     stream and the result is order-independent.
     """
-    if K < 1 or n < 1:
-        raise ValueError("K and n must be >= 1")
-    seed = None
-    if isinstance(rng, (int, np.integer)):
-        seed = (int(rng), z)
-        per_index = tuple(
-            tuple(haar_unitary(d, derived_rng(rng, z, k, i)) for i in range(n))
-            for k in range(K))
-    else:
-        per_index = tuple(
-            tuple(haar_unitary(d, rng) for _ in range(n)) for _ in range(K))
-    return UnitaryFamily(z, n, d, per_index, kind="haar", seed=seed)
+    return make_family("haar", z, n, d, K, rng, (z,))
 
 
 def pauli_family(z: int, n: int, d: int, size: int | None = None) -> UnitaryFamily:
@@ -587,7 +605,7 @@ def build_qmap_code(rho: DensityMatrix, senders: Sequence, b: Sequence[str],
     unitaries, and the decoder coarse-grains the index-level decoder over
     blocks. The split must satisfy C_z = D_z + R_z within 1e-9.
     """
-    groups = [(g,) if isinstance(g, str) else tuple(g) for g in senders]
+    groups = label_groups(senders)
     c_rates, d_rates = splits
     rates = [float(r) for r in rates]
     if len(c_rates) != len(groups) or len(d_rates) != len(groups):
@@ -599,25 +617,13 @@ def build_qmap_code(rho: DensityMatrix, senders: Sequence, b: Sequence[str],
     check_dim_budget(rho_n.dim, max_dim)
     message_counts = _counts_from_rates(n, rates)
     block_sizes = _counts_from_rates(n, d_rates)
-    copy_groups = tuple(
-        tuple(f"{lab}_{i}" for i in range(1, n + 1) for lab in g) for g in groups)
-    b_copies = tuple(lab for i in range(1, n + 1) for lab in
-                     (f"{x}_{i}" for x in b))
-    e_copies = tuple(lab for i in range(1, n + 1) for lab in
-                     (f"{x}_{i}" for x in e))
+    copy_groups = tuple(SystemLayout.copy_major(g, n) for g in groups)
+    b_copies = SystemLayout.copy_major(b, n)
+    e_copies = SystemLayout.copy_major(e, n)
     master_seed = rng if isinstance(rng, (int, np.integer)) else None
-    families = []
-    for z, (m, l, g) in enumerate(zip(message_counts, block_sizes, groups), start=1):
-        k = m * l
-        d = rho.layout.dim_of(g)
-        if family == "haar":
-            families.append(sample_family(z, n, k, d, rng))
-        elif family == "pauli":
-            families.append(pauli_family(z, n, d, size=k))
-        elif family == "identity":
-            families.append(identity_family(z, n, d, size=k))
-        else:
-            raise ValueError(f"unknown family kind {family!r}")
+    families = [make_family(family, z, n, rho.layout.dim_of(g), m * l, rng, (z,))
+                for z, (m, l, g) in enumerate(zip(message_counts, block_sizes, groups),
+                                              start=1)]
 
     sizes = [fam.size for fam in families]
     if decoder == "pgm":
@@ -661,10 +667,8 @@ def evaluate_code(code: CodeSpec, rho: DensityMatrix,
     """
     rho_n = tensor_power(rho, code.n)
     check_dim_budget(rho_n.dim)
-    if e_labels is None:
-        e_copies = list(code.e_labels)
-    else:
-        e_copies = [f"{x}_{i}" for i in range(1, code.n + 1) for x in e_labels]
+    e_copies = list(code.e_labels if e_labels is None
+                    else SystemLayout.copy_major(e_labels, code.n))
     sender_copy = [lab for g in code.sender_groups for lab in g]
     leak_labels = set(sender_copy) | set(e_copies)
 
@@ -790,33 +794,21 @@ def chained_randomization_experiment(rho: DensityMatrix, senders: Sequence,
     """Randomize each sender in sequence over `trials` independent family
     draws; reports per-stage and total distances and asserts the triangle
     chain total <= sum of stages."""
-    groups = [(g,) if isinstance(g, str) else tuple(g) for g in senders]
+    groups = label_groups(senders)
     z_count = len(groups)
     if len(block_sizes) != z_count:
         raise ValueError("one block size per sender required")
     rho_n = tensor_power(rho, n)
     check_dim_budget(rho_n.dim, max_dim)
-    copy_groups = [tuple(f"{lab}_{i}" for i in range(1, n + 1) for lab in g)
-                   for g in groups]
-    w_copies = [f"{x}_{i}" for i in range(1, n + 1) for x in w_labels]
+    copy_groups = [SystemLayout.copy_major(g, n) for g in groups]
+    w_copies = list(SystemLayout.copy_major(w_labels, n))
 
     samples: dict[str, list[float]] = {"total_distance": []}
     for z in range(1, z_count + 1):
         samples[f"stage_{z}_distance"] = []
     for t in range(trials):
-        families = []
-        for z, (g, l) in enumerate(zip(groups, block_sizes), start=1):
-            d = rho.layout.dim_of(g)
-            if family == "haar":
-                fams = tuple(
-                    tuple(haar_unitary(d, derived_rng(master_seed, t, z, k, i))
-                          for i in range(n)) for k in range(l))
-                families.append(UnitaryFamily(z, n, d, fams, kind="haar",
-                                              seed=(master_seed, t, z)))
-            elif family == "pauli":
-                families.append(pauli_family(z, n, d, size=l))
-            else:
-                raise ValueError(f"unknown family kind {family!r}")
+        families = [make_family(family, z, n, rho.layout.dim_of(g), l, master_seed, (t, z))
+                    for z, (g, l) in enumerate(zip(groups, block_sizes), start=1)]
         # per-stage distances on the suffix marginals
         stage_total = 0.0
         for z in range(z_count):
@@ -846,3 +838,28 @@ def chained_randomization_experiment(rho: DensityMatrix, senders: Sequence,
                             master_seed, {"family_kind": family,
                                           "block_sizes": list(block_sizes),
                                           "n": n})
+
+
+def encoding_experiment(rho: DensityMatrix, senders: Sequence, n: int,
+                        k_sweep: Sequence[int], trials: int, master_seed: int,
+                        family: str = "haar", max_dim: int = DIM_BUDGET
+                        ) -> SimulationReport:
+    """Sweep family sizes: for each size K and trial t, every sender draws a
+    family of K unitaries (Haar prefix (K, t, z)), and the report holds the
+    average PGM success on the K^Z encoded index states as `success_K<K>`."""
+    groups = label_groups(senders)
+    rho_n = tensor_power(rho, n)
+    check_dim_budget(rho_n.dim, max_dim)
+    copy_groups = [SystemLayout.copy_major(g, n) for g in groups]
+    samples: dict[str, list[float]] = {f"success_K{k}": [] for k in k_sweep}
+    for k in k_sweep:
+        for t in range(trials):
+            families = [make_family(family, z, n, rho.layout.dim_of(g), k, master_seed,
+                                    (k, t, z))
+                        for z, g in enumerate(groups, start=1)]
+            k_tuples = list(product(*[range(f.size) for f in families]))
+            encoded, povm = encoded_pgm(rho_n, families, copy_groups, k_tuples)
+            samples[f"success_K{k}"].append(povm_success(povm, encoded))
+    samples_t = {name: tuple(vals) for name, vals in samples.items()}
+    return SimulationReport(trials, _mean_estimates(samples_t), samples_t, master_seed,
+                            {"k_sweep": list(k_sweep), "n": n, "family_kind": family})

@@ -99,14 +99,23 @@ class SystemLayout:
         """Layout of the n-copy space, copy-major: (A,B)^2 -> A_1 B_1 A_2 B_2."""
         if n < 1:
             raise ValueError("n must be >= 1")
-        return SystemLayout(tuple(
-            (f"{lab}_{i}", d) for i in range(1, n + 1) for lab, d in self.factors
-        ))
+        return SystemLayout(tuple(zip(self.copy_major(self.labels, n), self.dims * n)))
+
+    @staticmethod
+    def copy_major(labels: Sequence[str], n: int) -> tuple[str, ...]:
+        """Labels of n copies of the given factors in the order of `power`:
+        (A, B), 2 -> A_1 B_1 A_2 B_2."""
+        return tuple(f"{lab}_{i}" for i in range(1, n + 1) for lab in labels)
 
     @staticmethod
     def copy_labels(label: str, n: int) -> tuple[str, ...]:
         """Labels of the n copies of a single factor, matching `power`."""
-        return tuple(f"{label}_{i}" for i in range(1, n + 1))
+        return SystemLayout.copy_major((label,), n)
+
+
+def label_groups(entries: Iterable) -> list[tuple[str, ...]]:
+    """One label tuple per entry; a bare string is a one-label group."""
+    return [(e,) if isinstance(e, str) else tuple(e) for e in entries]
 
 
 def _as_square_complex(matrix) -> np.ndarray:
@@ -156,8 +165,14 @@ class DensityMatrix:
             raise DimensionError(
                 f"matrix dim {m.shape[0]} != layout dim {self.layout.dim}")
         mh = m.conj().T
-        if np.max(np.abs(m - mh)) > HERMITIAN_TOL:
-            raise StateValidationError("matrix is not Hermitian within tolerance")
+        # a NaN or infinite entry makes the deviation NaN or inf (inf - inf),
+        # and only this form of the test rejects a NaN; later checks pass it
+        with np.errstate(invalid="ignore"):
+            dev = np.max(np.abs(m - mh))
+        if not dev <= HERMITIAN_TOL:
+            finite = np.isfinite(m).all()
+            raise StateValidationError("matrix is not Hermitian within tolerance" if finite
+                                       else "matrix has non-finite entries")
         min_eig = psd_violation((m + mh) / 2, PSD_TOL)
         if min_eig is not None:
             raise StateValidationError(f"matrix is not PSD: min eigenvalue {min_eig}")

@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 import numpy as np
 from scipy.optimize import linprog
 
-from .qstate import DensityMatrix, LabelError, entropy, partial_trace
+from .qstate import DensityMatrix, LabelError, entropy, label_groups, partial_trace
 
 ENTROPIC_TOL = 1e-9
 
@@ -133,16 +133,6 @@ class MembershipResult:
     worst_margin: float  # slack of the tightest constraint; negative if violated
 
 
-def _normalize_senders(senders: Sequence) -> list[tuple[str, ...]]:
-    groups = []
-    for entry in senders:
-        if isinstance(entry, str):
-            groups.append((entry,))
-        else:
-            groups.append(tuple(entry))
-    return groups
-
-
 def _sender_log_dims(rho: DensityMatrix, groups: list[tuple[str, ...]]) -> list[float]:
     return [math.log2(rho.layout.dim_of(g)) for g in groups]
 
@@ -214,7 +204,7 @@ def _dhat(s, groups: list[tuple[str, ...]], log_dims: list[float],
 
 def chat_from_state(rho: DensityMatrix, senders: Sequence, v: Iterable[str]) -> SetFunction:
     """Encoding-capacity table: sum_Gamma log d_z - S(A_Gamma | A_Gamma_c V)."""
-    groups = _normalize_senders(senders)
+    groups = label_groups(senders)
     v = tuple(v)
     _check_roles(rho, groups, v)
     return _chat(_entropy_table(rho), groups, _sender_log_dims(rho, groups), v)
@@ -222,7 +212,7 @@ def chat_from_state(rho: DensityMatrix, senders: Sequence, v: Iterable[str]) -> 
 
 def dhat_from_state(rho: DensityMatrix, senders: Sequence, w: Iterable[str]) -> SetFunction:
     """Randomization-cost table: sum_Gamma log d_z - S(A_Gamma | W)."""
-    groups = _normalize_senders(senders)
+    groups = label_groups(senders)
     w = tuple(w)
     _check_roles(rho, groups, w)
     return _dhat(_entropy_table(rho), groups, _sender_log_dims(rho, groups), w)
@@ -248,7 +238,7 @@ def region_tables(rho: DensityMatrix, senders: Sequence, b: Iterable[str],
     ENTROPIC_TOL; a mismatch raises InvariantError. With a nonempty B and E
     the three cost 2^(Z+1) marginal entropies.
     """
-    groups = _normalize_senders(senders)
+    groups = label_groups(senders)
     b, e = tuple(b), tuple(e)
     _check_roles(rho, groups, b, e)
     covered = {lab for g in groups for lab in g} | set(b) | set(e)

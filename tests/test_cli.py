@@ -272,3 +272,56 @@ class TestValidationErrors:
     def test_missing_rates(self, bell_spec, tmp_path):
         assert main(["check", "--spec", bell_spec,
                      "--out", str(tmp_path / "o")]) == 2
+
+
+class TestNonFiniteSpec:
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_diagonal_exits_2(self, tmp_path, token):
+        spec = tmp_path / "spec.json"
+        spec.write_text(
+            '{"layout": [["A1", 2], ["B", 2]], "senders": [["A1"]], "receiver": ["B"],'
+            ' "matrix": [' + ", ".join(
+                "[" + ", ".join(f"[{token if i == j == 0 else float(i == j) / 4}, 0.0]"
+                                for j in range(4)) + "]"
+                for i in range(4)) + "]}")
+        out = tmp_path / "out"
+        assert main(["region", "--spec", str(spec), "--out", str(out)]) == 2
+        assert not (out / "region.json").exists()
+
+
+class TestReadmeSession:
+    def test_example_session_exits_0(self, tmp_path, monkeypatch):
+        """Runs the README's example session: `echo ... > file` writes the
+        file, each `qmap ...` line goes through `main`."""
+        import shlex
+        from pathlib import Path
+
+        readme = (Path(__file__).parent.parent / "README.md").read_text()
+        block = readme.split("Example session:")[1].split("```sh\n")[1].split("```")[0]
+        monkeypatch.chdir(tmp_path)
+        ran = 0
+        for line in block.strip().splitlines():
+            words = shlex.split(line)
+            if words[0] == "echo":
+                assert words[2] == ">"
+                (tmp_path / words[3]).write_text(words[1])
+            else:
+                assert words[0] == "qmap"
+                assert main(words[1:]) == 0, line
+                ran += 1
+        assert ran == 4
+
+
+class TestFamilyKinds:
+    @pytest.mark.parametrize("command,config", [
+        ("simulate-randomization", {"n": 1, "block_sizes": [2], "trials": 1}),
+        ("simulate-encoding", {"n": 1, "k_sweep": [1, 2], "trials": 1}),
+        ("simulate-code", {"n": 1, "rates": [1.0],
+                           "splits": {"c": [1.0], "d": [0.0]}}),
+    ])
+    def test_identity_accepted_unknown_rejected(self, bell_spec, tmp_path, command,
+                                                config):
+        for family, code in (("identity", 0), ("nope", 2)):
+            cfg = write_json(tmp_path / f"{family}.json", dict(config, family=family))
+            assert main([command, "--spec", bell_spec, "--config", cfg,
+                         "--out", str(tmp_path / family), "--seed", "1"]) == code

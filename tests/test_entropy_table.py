@@ -15,6 +15,7 @@ from qmap.qstate import (
     SystemLayout,
     conditional_entropy,
     conditional_mutual_information,
+    partial_trace,
     random_density,
 )
 from qmap.regions import (
@@ -238,3 +239,22 @@ class TestParseMatrix:
     def test_nan_entry_matches_the_loop(self):
         entries = [[[float("nan"), 0], [0, 0]], [[0, 0], [0.5, -0.0]]]
         assert _parse_matrix(entries, 2).tobytes() == _loop_parse(entries, 2).tobytes()
+
+
+class TestEmptyReceiverCount:
+    """With B empty, V = B E and W = E coincide, so chat and dhat read the
+    same 2^z marginals A_S E."""
+
+    @pytest.mark.parametrize("z", [1, 3, 5])
+    def test_two_to_the_z_with_empty_b(self, z, entropy_calls):
+        rho, senders, _, e = _qubit_state(z)
+        region_tables(partial_trace(rho, senders + ["E"]), senders, (), e)
+        assert len(entropy_calls) == 2 ** z
+        assert len(set(entropy_calls)) == len(entropy_calls)
+
+    @pytest.mark.parametrize("suite", [cli._lemma_structure_suite,
+                                       cli._lemma_vertices_suite])
+    def test_lemma_suites_cost_two_to_the_z_per_state(self, suite, entropy_calls):
+        result = suite(5, [2, 3], 2)
+        assert result["passed"]
+        assert len(entropy_calls) == 2 * (2 ** 2 + 2 ** 3)

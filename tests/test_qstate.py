@@ -318,3 +318,12 @@ def test_partial_trace_preserves_trace_property(seed):
     layout = SystemLayout((("A", 2), ("B", 3)))
     s = random_density(layout, 6, seed)
     assert abs(np.trace(partial_trace(s, ["A"]).matrix) - 1) < 1e-10
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("value", [np.nan, np.inf, complex(0, np.nan)])
+    def test_density_matrix_rejects_non_finite_entries(self, value):
+        m = np.eye(2, dtype=complex) / 2
+        m[0, 0] = value
+        with pytest.raises(StateValidationError, match="non-finite"):
+            DensityMatrix(m, SystemLayout((("A", 2),)))
