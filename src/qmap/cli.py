@@ -12,6 +12,7 @@ import json
 import math
 import os
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -138,16 +139,13 @@ def cmd_split(spec: ResolvedSpec, config: dict, out_dir: Path, seed: None) -> in
     return EXIT_OK
 
 
-def _require_seed(args, config: dict) -> int:
-    seed = args.seed if args.seed is not None else config.get("master_seed")
-    if seed is None:
-        raise SpecError("stochastic commands require --seed or config master_seed",
-                        "$.master_seed")
-    return int(seed)
-
-
-def _seed_or_zero(args, config: dict) -> int:
-    return args.seed if args.seed is not None else 0
+def _resolve_seed(args, config: dict, default: int | None = None) -> int:
+    """--seed, else the config's master_seed, else `default` (if given)."""
+    for seed in (args.seed, config.get("master_seed"), default):
+        if seed is not None:
+            return int(seed)
+    raise SpecError("stochastic commands require --seed or config master_seed",
+                    "$.master_seed")
 
 
 def cmd_simulate_randomization(spec: ResolvedSpec, config: dict, out_dir: Path,
@@ -172,6 +170,8 @@ def cmd_simulate_encoding(spec: ResolvedSpec, config: dict, out_dir: Path,
                           seed: int) -> int:
     n = int(config.get("n", 1))
     k_sweep = [int(k) for k in config.get("k_sweep", [1, 2, 4])]
+    if len(set(k_sweep)) != len(k_sweep):
+        raise SpecError(f"k_sweep sizes must be distinct, got {k_sweep}", "$.k_sweep")
     trials = int(config.get("trials", 1))
     family = config.get("family", "haar")
     max_dim = check_budget(n, spec.state.dim)
@@ -327,10 +327,10 @@ COMMANDS = {
     "region": (cmd_region, True, None),
     "check": (cmd_check, True, None),
     "split": (cmd_split, True, None),
-    "simulate-randomization": (cmd_simulate_randomization, True, _require_seed),
-    "simulate-encoding": (cmd_simulate_encoding, True, _require_seed),
-    "simulate-code": (cmd_simulate_code, True, _require_seed),
-    "verify-lemmas": (cmd_verify_lemmas, False, _seed_or_zero),
+    "simulate-randomization": (cmd_simulate_randomization, True, _resolve_seed),
+    "simulate-encoding": (cmd_simulate_encoding, True, _resolve_seed),
+    "simulate-code": (cmd_simulate_code, True, _resolve_seed),
+    "verify-lemmas": (cmd_verify_lemmas, False, partial(_resolve_seed, default=0)),
 }
 
 

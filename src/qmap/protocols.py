@@ -46,6 +46,7 @@ POVM_SUM_TOL = 1e-8
 POVM_PSD_TOL = 1e-8
 PINV_CUTOFF = 1e-10
 DIM_BUDGET = 4096
+MAX_MESSAGES = 4096  # largest message space evaluate_code enumerates
 
 
 class BudgetError(ValueError):
@@ -225,12 +226,26 @@ def encode(rho_n: DensityMatrix, families: Sequence[UnitaryFamily],
     return [by_index[i] for i in range(len(k_tuples))]
 
 
-def _random_unitary_channel(rho: DensityMatrix, family: UnitaryFamily,
-                            on: Sequence[str]) -> DensityMatrix:
+def _mix(rho: DensityMatrix, unitaries: Sequence[np.ndarray],
+         on: Sequence[str]) -> DensityMatrix:
+    """Uniform mixture of rho conjugated by each unitary on the `on` factors."""
     acc = np.zeros_like(rho.matrix)
-    for k in range(family.size):
-        acc = acc + apply_unitary(rho, family.block(k), on).matrix
-    return DensityMatrix(acc / family.size, rho.layout, subnormalized=rho.subnormalized)
+    for u in unitaries:
+        acc = acc + apply_unitary(rho, u, on).matrix
+    return DensityMatrix(acc / len(unitaries), rho.layout, subnormalized=rho.subnormalized)
+
+
+def _randomization_target(rho: DensityMatrix, senders: Sequence[str],
+                          w: Sequence[str]) -> DensityMatrix:
+    """(maximally mixed on the `senders` factors) x (rho's marginal on `w`),
+    with its factors in rho's layout order."""
+    layout = rho.layout
+    target = maximally_mixed(SystemLayout(tuple(
+        (lab, layout.dims[layout.index(lab)]) for lab in senders)))
+    if w:
+        target = tensor(target, partial_trace(rho, w))
+    keep = set(senders) | set(w)
+    return permute_factors(target, [lab for lab in layout.labels if lab in keep])
 
 
 def randomize(rho_n: DensityMatrix, sender_groups: Sequence[Sequence[str]],
@@ -246,13 +261,9 @@ def randomize(rho_n: DensityMatrix, sender_groups: Sequence[Sequence[str]],
         if fam.dim ** fam.n != rho_n.layout.dim_of(group):
             raise DimensionError(
                 f"family dim {fam.dim}^{fam.n} does not match group {tuple(group)}")
-        out = _random_unitary_channel(out, fam, list(group))
+        out = _mix(out, [fam.block(k) for k in range(fam.size)], list(group))
     all_sender = [lab for g in sender_groups for lab in g]
-    sender_layout = SystemLayout(tuple(
-        (lab, rho_n.layout.dims[rho_n.layout.index(lab)]) for lab in all_sender))
-    target = tensor(maximally_mixed(sender_layout), partial_trace(rho_n, w_labels))
-    target = permute_factors(target, [lab for lab in rho_n.layout.labels
-                                      if lab in set(all_sender) | set(w_labels)])
+    target = _randomization_target(rho_n, all_sender, w_labels)
     reduced = partial_trace(out, set(all_sender) | set(w_labels))
     distance = trace_norm(reduced.matrix - target.matrix)
     return out, float(distance)
@@ -435,13 +446,12 @@ def sequential_decoder(rho: DensityMatrix, sender_groups: Sequence[Sequence[str]
     elements = []
     success_terms = []
     for k_tuple in product(*[range(s) for s in sizes]):
-        lam = np.zeros((rho.dim, rho.dim), dtype=complex)
-        for bits in product((0, 1), repeat=z_count):
-            chain = np.eye(rho.dim, dtype=complex)
-            for z in range(z_count):  # stage 1 applied first (rightmost)
-                op = stage_ops[z][k_tuple[z]][bits[z]]
-                chain = apply_local(chain, op, stage_labels[z], layout)
-            lam = lam + chain.conj().T @ chain
+        # sum over outcome patterns b of C^dag C, C = O_Z^{b_Z} ... O_1^{b_1},
+        # nested from stage Z inward: M <- sum_b (O_z^b)^dag M O_z^b
+        lam = np.eye(rho.dim, dtype=complex)
+        for z in reversed(range(z_count)):
+            lam = sum(conjugate_local(lam, op.conj().T, stage_labels[z], layout)
+                      for op in stage_ops[z][k_tuple[z]])
         # Tr[U lam U^dag U rho U^dag] = Tr[lam rho] for the encoding U of k_tuple
         success_terms.append(float(np.real(np.einsum("ij,ji->", lam, rho_mat))))
         for z in range(z_count):
@@ -467,7 +477,7 @@ class UnionBoundResult:
 def union_bound_check(lambdas: Sequence[np.ndarray], rho) -> UnionBoundResult:
     """Gentle sequential-measurement bound for operators 0 <= L_j <= I.
 
-    Computes Tr[rho] - Tr[Lhat rho] via the explicit outcome-pattern sum,
+    Computes Tr[rho] - Tr[Lhat rho] via the outcome-pattern sum,
     the bound 2 sqrt(sum_j Tr[(I - L_j) rho]), and cross-validates against
     the ancilla-chain evaluation. Raises if they disagree beyond 1e-10 or
     the bound fails beyond 1e-9.
@@ -479,17 +489,15 @@ def union_bound_check(lambdas: Sequence[np.ndarray], rho) -> UnionBoundResult:
         eig = np.linalg.eigvalsh((l + l.conj().T) / 2)
         if eig.min() < -1e-10 or eig.max() > 1 + 1e-10:
             raise StateValidationError("operator outside [0, I]")
-    # outcome-pattern sum
+    # outcome-pattern sum of C^dag C, C = P_Z^{b_Z} ... P_1^{b_1}, nested
+    # from the last operator inward: M <- sum_b (P_j^b)^dag M P_j^b
     pieces = []
     for l in mats:
         sq = _psd_power(l, 0.5)
         pieces.append((l, sq @ _psd_power(np.eye(d) - l, 0.5)))
-    lam_hat = np.zeros((d, d), dtype=complex)
-    for bits in product((0, 1), repeat=len(mats)):
-        chain = np.eye(d, dtype=complex)
-        for j, b in enumerate(bits):
-            chain = pieces[j][b] @ chain
-        lam_hat = lam_hat + chain.conj().T @ chain
+    lam_hat = np.eye(d, dtype=complex)
+    for pair in reversed(pieces):
+        lam_hat = sum(p.conj().T @ lam_hat @ p for p in pair)
     lam_hat_trace = float(np.real(np.einsum("ij,ji->", lam_hat, rho_mat)))
     # ancilla chain: Pi_j = L_j (x) |0> + sqrt(L_j) sqrt(I - L_j) (x) |1>
     sigma = rho_mat
@@ -613,8 +621,8 @@ def build_qmap_code(rho: DensityMatrix, senders: Sequence, b: Sequence[str],
     for cz, dz, rz in zip(c_rates, d_rates, rates):
         if abs(cz - (dz + rz)) > 1e-9:
             raise ValueError(f"inconsistent split: C={cz} != D+R={dz + rz}")
+    check_dim_budget(rho.dim ** n, max_dim)
     rho_n = tensor_power(rho, n)
-    check_dim_budget(rho_n.dim, max_dim)
     message_counts = _counts_from_rates(n, rates)
     block_sizes = _counts_from_rates(n, d_rates)
     copy_groups = tuple(SystemLayout.copy_major(g, n) for g in groups)
@@ -652,68 +660,41 @@ def build_qmap_code(rho: DensityMatrix, senders: Sequence, b: Sequence[str],
                     decoder_povm, family, decoder, master_seed)
 
 
-def evaluate_code(code: CodeSpec, rho: DensityMatrix,
-                  e_labels: Sequence[str] | None = None,
-                  max_messages: int = 4096,
-                  rng: np.random.Generator | None = None,
-                  mc_samples: int = 256) -> SimulationReport:
-    """Decoding error and leakage of a code, exactly when the message space
-    is small enough, else by uniform Monte Carlo sampling of messages.
+def evaluate_code(code: CodeSpec, rho: DensityMatrix) -> SimulationReport:
+    """Decoding error and leakage of a code, exactly over its whole message
+    space (at most MAX_MESSAGES messages, else BudgetError).
 
-    Reports per-message success and leakage samples, the decoding error
+    Each message's state mixes each sender's block of family unitaries in
+    turn. Reports per-message success and leakage samples, the decoding error
     epsilon = 1 - mean success, the leakage theta (mean full trace norm to
     the average encoded state on the senders-plus-eavesdropper marginal),
     and the randomization distance of the average state.
     """
+    if code.message_space > MAX_MESSAGES:
+        raise BudgetError(
+            f"message space {code.message_space} exceeds budget {MAX_MESSAGES}")
+    check_dim_budget(rho.dim ** code.n)
     rho_n = tensor_power(rho, code.n)
-    check_dim_budget(rho_n.dim)
-    e_copies = list(code.e_labels if e_labels is None
-                    else SystemLayout.copy_major(e_labels, code.n))
     sender_copy = [lab for g in code.sender_groups for lab in g]
-    leak_labels = set(sender_copy) | set(e_copies)
+    leak_labels = set(sender_copy) | set(code.e_labels)
 
-    # exact per-message states: uniform mixture of the block unitaries
-    def encoded_message(m_tuple):
-        k_tuples = [[m * l_z + l for m, l_z, l in zip(m_tuple, code.block_sizes, l_tuple)]
-                    for l_tuple in product(*[range(l) for l in code.block_sizes])]
-        acc = np.zeros((rho_n.dim, rho_n.dim), dtype=complex)
-        for state in encode(rho_n, code.families, code.sender_groups, k_tuples):
-            acc += state.matrix
-        return acc / len(k_tuples)
-
-    total_messages = code.message_space
-    exact = total_messages <= max_messages
-    if exact:
-        message_tuples = list(product(*[range(m) for m in code.message_counts]))
-    else:
-        if rng is None:
-            raise ValueError("Monte Carlo evaluation needs an rng")
-        message_tuples = [tuple(int(rng.integers(m)) for m in code.message_counts)
-                          for _ in range(mc_samples)]
-
-    states = [encoded_message(m) for m in message_tuples]
-    rho_bar = sum(states) / len(states)
-    bar_state = DensityMatrix(rho_bar, rho_n.layout)
+    states = []  # in flat message-index order
+    for m_tuple in product(*[range(m) for m in code.message_counts]):
+        state = rho_n
+        for fam, group, m, l_z in zip(code.families, code.sender_groups, m_tuple,
+                                      code.block_sizes):
+            state = _mix(state, [fam.block(m * l_z + l) for l in range(l_z)], group)
+        states.append(state)
+    bar_state = DensityMatrix(sum(s.matrix for s in states) / len(states), rho_n.layout)
     bar_leak = partial_trace(bar_state, leak_labels)
+    target = _randomization_target(bar_state, sender_copy, code.e_labels)
 
     success_samples, leak_samples, rand_samples = [], [], []
-    sender_layout = SystemLayout(tuple(
-        (lab, rho_n.layout.dims[rho_n.layout.index(lab)]) for lab in sender_copy))
-    pi_sender = maximally_mixed(sender_layout)
-    bar_e = (partial_trace(bar_state, e_copies) if e_copies else None)
-    for m_tuple, mat in zip(message_tuples, states):
-        idx = _flat_index(m_tuple, code.message_counts)
-        success_samples.append(
-            float(np.real(np.einsum("ij,ji->", code.decoder.elements[idx], mat))))
-        msg_state = DensityMatrix(mat, rho_n.layout)
-        msg_leak = partial_trace(msg_state, leak_labels)
+    for element, state in zip(code.decoder.elements, states):
+        success_samples.append(float(np.real(np.einsum("ij,ji->", element, state.matrix))))
+        msg_leak = partial_trace(state, leak_labels)
         leak_samples.append(trace_norm(msg_leak.matrix - bar_leak.matrix))
-        if bar_e is not None:
-            ref = permute_factors(tensor(pi_sender, bar_e),
-                                  list(msg_leak.layout.labels))
-        else:
-            ref = permute_factors(pi_sender, list(msg_leak.layout.labels))
-        rand_samples.append(trace_norm(msg_leak.matrix - ref.matrix))
+        rand_samples.append(trace_norm(msg_leak.matrix - target.matrix))
 
     samples = {
         "success": tuple(success_samples),
@@ -724,18 +705,13 @@ def evaluate_code(code: CodeSpec, rho: DensityMatrix,
     estimates["epsilon"] = 1.0 - estimates["success"]
     estimates["theta"] = estimates["leakage"]
     extra = {
-        "exact": exact,
+        "exact": True,
         "family_kind": code.family_kind,
         "decoder_kind": code.decoder_kind,
         "message_counts": list(code.message_counts),
         "block_sizes": list(code.block_sizes),
     }
-    if not exact:
-        extra["standard_error"] = {
-            name: float(np.std(vals, ddof=1) / math.sqrt(len(vals)))
-            for name, vals in samples.items()}
-    return SimulationReport(len(message_tuples), estimates, samples,
-                            code.master_seed, extra)
+    return SimulationReport(len(states), estimates, samples, code.master_seed, extra)
 
 
 @dataclass(frozen=True)
@@ -798,10 +774,18 @@ def chained_randomization_experiment(rho: DensityMatrix, senders: Sequence,
     z_count = len(groups)
     if len(block_sizes) != z_count:
         raise ValueError("one block size per sender required")
+    check_dim_budget(rho.dim ** n, max_dim)
     rho_n = tensor_power(rho, n)
-    check_dim_budget(rho_n.dim, max_dim)
     copy_groups = [SystemLayout.copy_major(g, n) for g in groups]
     w_copies = list(SystemLayout.copy_major(w_labels, n))
+
+    # stage z randomizes sender z on the n-copy marginal of senders z..Z and W
+    stages = []
+    for z, group in enumerate(copy_groups):
+        suffix = [lab for g in groups[z:] for lab in g] + list(w_labels)
+        marg_n = tensor_power(partial_trace(rho, suffix), n)
+        rest = [lab for lab in marg_n.layout.labels if lab not in group]
+        stages.append((group, marg_n, _randomization_target(marg_n, group, rest)))
 
     samples: dict[str, list[float]] = {"total_distance": []}
     for z in range(1, z_count + 1):
@@ -809,24 +793,11 @@ def chained_randomization_experiment(rho: DensityMatrix, senders: Sequence,
     for t in range(trials):
         families = [make_family(family, z, n, rho.layout.dim_of(g), l, master_seed, (t, z))
                     for z, (g, l) in enumerate(zip(groups, block_sizes), start=1)]
-        # per-stage distances on the suffix marginals
         stage_total = 0.0
-        for z in range(z_count):
-            suffix_labels = [lab for g in groups[z:] for lab in g] + list(w_labels)
-            marg = partial_trace(rho, suffix_labels)
-            marg_n = tensor_power(marg, n)
-            copy_group = copy_groups[z]
-            randomized = _random_unitary_channel(marg_n, families[z], list(copy_group))
-            rest_labels = [lab for lab in marg_n.layout.labels
-                           if lab not in set(copy_group)]
-            group_layout = SystemLayout(tuple(
-                (lab, marg_n.layout.dims[marg_n.layout.index(lab)])
-                for lab in copy_group))
-            ref = tensor(maximally_mixed(group_layout),
-                         partial_trace(marg_n, rest_labels))
-            ref = permute_factors(ref, list(marg_n.layout.labels))
-            dist = trace_norm(randomized.matrix - ref.matrix)
-            samples[f"stage_{z + 1}_distance"].append(dist)
+        for z, (fam, (group, marg_n, target)) in enumerate(zip(families, stages), start=1):
+            randomized = _mix(marg_n, [fam.block(k) for k in range(fam.size)], group)
+            dist = trace_norm(randomized.matrix - target.matrix)
+            samples[f"stage_{z}_distance"].append(dist)
             stage_total += dist
         _, total = randomize(rho_n, copy_groups, w_copies, families)
         if total > stage_total + 1e-9:
@@ -848,8 +819,8 @@ def encoding_experiment(rho: DensityMatrix, senders: Sequence, n: int,
     family of K unitaries (Haar prefix (K, t, z)), and the report holds the
     average PGM success on the K^Z encoded index states as `success_K<K>`."""
     groups = label_groups(senders)
+    check_dim_budget(rho.dim ** n, max_dim)
     rho_n = tensor_power(rho, n)
-    check_dim_budget(rho_n.dim, max_dim)
     copy_groups = [SystemLayout.copy_major(g, n) for g in groups]
     samples: dict[str, list[float]] = {f"success_K{k}": [] for k in k_sweep}
     for k in k_sweep:
