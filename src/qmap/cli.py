@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from functools import partial
 from pathlib import Path
@@ -19,35 +18,13 @@ import numpy as np
 
 from . import protocols, regions
 from .presets import ResolvedSpec, SpecError, resolve_state_spec
-from .protocols import BudgetError
+from .protocols import BudgetError, budget_qubits  # noqa: F401 (public via qmap.cli)
 from .qstate import StateValidationError, SystemLayout, random_density
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_INVARIANT = 3
 EXIT_BUDGET = 4
-
-DEFAULT_BUDGET_QUBITS = 12
-MAX_BUDGET_QUBITS = 14
-
-
-def budget_qubits() -> int:
-    raw = os.environ.get("QMAP_BUDGET_QUBITS")
-    if raw is None:
-        return DEFAULT_BUDGET_QUBITS
-    try:
-        return min(MAX_BUDGET_QUBITS, int(raw))
-    except ValueError:
-        raise SpecError(f"QMAP_BUDGET_QUBITS must be an integer, got {raw!r}")
-
-
-def check_budget(n: int, state_dim: int) -> int:
-    budget = budget_qubits()
-    needed = n * math.log2(state_dim)
-    if needed > budget + 1e-9:
-        raise BudgetError(
-            f"n * log2(dim) = {needed:.2f} qubits exceeds budget {budget}")
-    return 2 ** budget
 
 
 def _load_json(path: str, what: str) -> dict:
@@ -60,13 +37,21 @@ def _load_json(path: str, what: str) -> dict:
         raise SpecError(f"{what} is not valid JSON: {exc}") from exc
 
 
-def _write_json(out_dir: Path, name: str, payload: dict) -> Path:
+def _field(obj: dict, key: str, kind, default=None, path: str = "$"):
+    """obj[key] (`default` when absent) as `kind`, or as a list of `kind[0]` for
+    `kind = [type]`; a value that does not convert is a SpecError at `path.key`."""
+    value = obj.get(key, default)
+    try:
+        return [kind[0](x) for x in value] if isinstance(kind, list) else kind(value)
+    except (TypeError, ValueError) as exc:
+        raise SpecError(f"invalid value {value!r}: {exc}", f"{path}.{key}") from exc
+
+
+def _write_json(out_dir: Path, name: str, payload: dict) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / f"{name}.json"
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(out_dir / f"{name}.json", "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    return path
 
 
 def _write_report(out_dir: Path, name: str, report: protocols.SimulationReport) -> None:
@@ -98,16 +83,16 @@ def cmd_region(spec: ResolvedSpec, config: dict, out_dir: Path, seed: None) -> i
 
 
 def _rates_from_config(config: dict, z: int) -> list[float]:
-    rates = config.get("rates")
-    if rates is None or len(rates) != z:
+    rates = _field(config, "rates", [float])
+    if len(rates) != z:
         raise SpecError(f"config needs a 'rates' list of length {z}", "$.rates")
-    return [float(r) for r in rates]
+    return rates
 
 
 def cmd_check(spec: ResolvedSpec, config: dict, out_dir: Path, seed: None) -> int:
     _, _, region = _region_tables(spec)
     rates = _rates_from_config(config, region.z_count)
-    slack = float(config.get("slack", 1e-9))
+    slack = _field(config, "slack", float, 1e-9)
     res = regions.membership(region, rates, slack)
     payload = {
         "rates": rates,
@@ -141,65 +126,65 @@ def cmd_split(spec: ResolvedSpec, config: dict, out_dir: Path, seed: None) -> in
 
 def _resolve_seed(args, config: dict, default: int | None = None) -> int:
     """--seed, else the config's master_seed, else `default` (if given)."""
-    for seed in (args.seed, config.get("master_seed"), default):
-        if seed is not None:
-            return int(seed)
+    if args.seed is not None:
+        return args.seed
+    if config.get("master_seed") is not None:
+        return _field(config, "master_seed", int)
+    if default is not None:
+        return default
     raise SpecError("stochastic commands require --seed or config master_seed",
                     "$.master_seed")
 
 
 def cmd_simulate_randomization(spec: ResolvedSpec, config: dict, out_dir: Path,
                                seed: int) -> int:
-    n = int(config.get("n", 1))
+    n = _field(config, "n", int, 1)
     z = len(spec.senders)
-    block_sizes = config.get("block_sizes")
-    if block_sizes is None or len(block_sizes) != z:
+    block_sizes = _field(config, "block_sizes", [int])
+    if len(block_sizes) != z:
         raise SpecError(f"config needs 'block_sizes' of length {z}", "$.block_sizes")
-    trials = int(config.get("trials", 1))
+    trials = _field(config, "trials", int, 1)
     family = config.get("family", "haar")
-    max_dim = check_budget(n, spec.state.dim)
     w_labels = list(spec.eavesdropper) if spec.eavesdropper else list(spec.receiver)
     report = protocols.chained_randomization_experiment(
-        spec.state, spec.senders, w_labels, n, [int(x) for x in block_sizes],
-        trials, seed, family=family, max_dim=max_dim)
+        spec.state, spec.senders, w_labels, n, block_sizes, trials, seed, family=family)
     _write_report(out_dir, "simulate-randomization", report)
     return EXIT_OK
 
 
 def cmd_simulate_encoding(spec: ResolvedSpec, config: dict, out_dir: Path,
                           seed: int) -> int:
-    n = int(config.get("n", 1))
-    k_sweep = [int(k) for k in config.get("k_sweep", [1, 2, 4])]
+    n = _field(config, "n", int, 1)
+    k_sweep = _field(config, "k_sweep", [int], [1, 2, 4])
     if len(set(k_sweep)) != len(k_sweep):
         raise SpecError(f"k_sweep sizes must be distinct, got {k_sweep}", "$.k_sweep")
-    trials = int(config.get("trials", 1))
+    trials = _field(config, "trials", int, 1)
     family = config.get("family", "haar")
-    max_dim = check_budget(n, spec.state.dim)
     report = protocols.encoding_experiment(spec.state, spec.senders, n, k_sweep, trials,
-                                           seed, family=family, max_dim=max_dim)
+                                           seed, family=family)
     _write_report(out_dir, "simulate-encoding", report)
     return EXIT_OK
 
 
 def cmd_simulate_code(spec: ResolvedSpec, config: dict, out_dir: Path,
                       seed: int) -> int:
-    n = int(config.get("n", 1))
+    n = _field(config, "n", int, 1)
     z = len(spec.senders)
     rates = _rates_from_config(config, z)
     family = config.get("family", "haar")
     decoder = config.get("decoder", "pgm")
-    max_dim = check_budget(n, spec.state.dim)
     splits_cfg = config.get("splits")
     if splits_cfg is not None:
-        splits = ([float(x) for x in splits_cfg["c"]],
-                  [float(x) for x in splits_cfg["d"]])
+        if not isinstance(splits_cfg, dict):
+            raise SpecError("splits must be an object with 'c' and 'd' lists", "$.splits")
+        splits = tuple(_field(splits_cfg, key, [float], path="$.splits")
+                       for key in ("c", "d"))
     else:
         chat, dhat, _ = _region_tables(spec)
-        c, d = regions.rate_split(rates, chat, dhat)
-        splits = (list(c), list(d))
+        splits = regions.rate_split(rates, chat, dhat)
     code = protocols.build_qmap_code(
         spec.state, spec.senders, spec.receiver, spec.eavesdropper, n, rates,
-        splits, seed, family=family, decoder=decoder, max_dim=max_dim)
+        splits, seed, family=family, decoder=decoder)
     _write_report(out_dir, "simulate-code", protocols.evaluate_code(code, spec.state))
     return EXIT_OK
 
@@ -213,10 +198,15 @@ def _lemma_state(seed: int, suite: int, z: int, trial: int, rest: tuple[str, ...
     return rho, senders
 
 
+def _tally(cases: int, failures: list[dict]) -> dict:
+    """A lemma suite's result: it passed when none of its cases failed."""
+    return {"passed": not failures, "cases": cases, "failures": failures}
+
+
 def _lemma_structure_suite(seed: int, sizes: list[int], states_per_size: int) -> dict:
     """Zero/nonnegative/monotone/strongly-subadditive checks for the encoding
     table and its randomization complements on random states."""
-    results = {"passed": True, "cases": 0, "failures": []}
+    cases, failures = 0, []
     for z in sizes:
         for trial in range(states_per_size):
             rho, senders = _lemma_state(seed, 1, z, trial, ("V",))
@@ -228,33 +218,30 @@ def _lemma_structure_suite(seed: int, sizes: list[int], states_per_size: int) ->
                     ("dcheck", dcheck, "subadditive-monotone"),
                     ("dhat", dhat, "superadditive")):
                 report = regions.check_set_function_properties(table, kind)
-                results["cases"] += 1
+                cases += 1
                 if not report.passed:
-                    results["passed"] = False
-                    results["failures"].append(
-                        {"z": z, "trial": trial, "table": name,
-                         "worst": report.worst_violation})
-    return results
+                    failures.append({"z": z, "trial": trial, "table": name,
+                                     "worst": report.worst_violation})
+    return _tally(cases, failures)
 
 
 def _lemma_vertices_suite(seed: int, sizes: list[int], states_per_size: int) -> dict:
-    results = {"passed": True, "cases": 0, "failures": []}
+    cases, failures = 0, []
     for z in sizes:
         for trial in range(states_per_size):
             rho, senders = _lemma_state(seed, 2, z, trial, ("V",))
             chat, dhat, _ = regions.region_tables(rho, senders, (), ("V",))
-            results["cases"] += 1
+            cases += 1
             try:
                 regions.polymatroid_vertices(chat)
                 regions.contrapolymatroid_vertices(dhat, [1.0] * z)
             except ValueError as exc:
-                results["passed"] = False
-                results["failures"].append({"z": z, "trial": trial, "error": str(exc)})
-    return results
+                failures.append({"z": z, "trial": trial, "error": str(exc)})
+    return _tally(cases, failures)
 
 
 def _lemma_separation_suite(seed: int, sizes: list[int], trials: int) -> dict:
-    results = {"passed": True, "cases": 0, "failures": []}
+    cases, failures = 0, []
     for z in sizes:
         for trial in range(trials):
             rho, senders = _lemma_state(seed, 3, z, trial, ("B", "E"))
@@ -263,7 +250,7 @@ def _lemma_separation_suite(seed: int, sizes: list[int], trials: int) -> dict:
             if min(gaps) <= 1e-6:
                 continue  # no strict interior to split in
             rates = [0.25 * min(gaps) / z] * z
-            results["cases"] += 1
+            cases += 1
             try:
                 c, d = regions.rate_split(rates, chat, dhat)
                 for m in range(1, 1 << z):
@@ -274,13 +261,13 @@ def _lemma_separation_suite(seed: int, sizes: list[int], trials: int) -> dict:
                     if any(c[i] != d[i] + rates[i] for i in idx):
                         raise AssertionError("c != d + r")
             except (ValueError, AssertionError) as exc:
-                results["passed"] = False
-                results["failures"].append({"z": z, "trial": trial, "error": str(exc)})
-    return results
+                failures.append({"z": z, "trial": trial, "error": str(exc)})
+    return _tally(cases, failures)
 
 
-def _lemma_union_bound_suite(seed: int, trials: int, dim: int = 8) -> dict:
-    results = {"passed": True, "cases": trials, "failures": []}
+def _lemma_union_bound_suite(seed: int, trials: int) -> dict:
+    dim = 8
+    failures = []
     for trial in range(trials):
         rng = protocols.derived_rng(seed, 4, trial)
         lams = []
@@ -293,15 +280,14 @@ def _lemma_union_bound_suite(seed: int, trials: int, dim: int = 8) -> dict:
         try:
             protocols.union_bound_check(lams, rho)
         except AssertionError as exc:
-            results["passed"] = False
-            results["failures"].append({"trial": trial, "error": str(exc)})
-    return results
+            failures.append({"trial": trial, "error": str(exc)})
+    return _tally(trials, failures)
 
 
 def cmd_verify_lemmas(spec: None, config: dict, out_dir: Path, seed: int) -> int:
-    sizes = [int(z) for z in config.get("sizes", [2, 3])]
-    states_per_size = int(config.get("states_per_size", 10))
-    union_trials = int(config.get("union_trials", 100))
+    sizes = _field(config, "sizes", [int], [2, 3])
+    states_per_size = _field(config, "states_per_size", int, 10)
+    union_trials = _field(config, "union_trials", int, 100)
     suites = {
         "set_function_structure": _lemma_structure_suite(seed, sizes, states_per_size),
         "greedy_vertices": _lemma_vertices_suite(seed, sizes, states_per_size),
@@ -355,6 +341,8 @@ def main(argv=None) -> int:
     handler, takes_spec, resolve_seed = COMMANDS[args.command]
     try:
         config = _load_json(args.config, "config") if args.config else {}
+        if not isinstance(config, dict):
+            raise SpecError("config must be a JSON object")
         spec = resolve_state_spec(_load_json(args.spec, "spec")) if takes_spec else None
         seed = resolve_seed(args, config) if resolve_seed else None
         return handler(spec, config, Path(args.out), seed)

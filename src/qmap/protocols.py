@@ -16,6 +16,7 @@ import csv
 import io
 import json
 import math
+import os
 from dataclasses import dataclass, field
 from itertools import product
 from typing import Iterable, Sequence
@@ -45,7 +46,8 @@ POVM_SUM_TOL = 1e-8
 # amplify eigenvalue noise past the 1e-10 state-level PSD tolerance
 POVM_PSD_TOL = 1e-8
 PINV_CUTOFF = 1e-10
-DIM_BUDGET = 4096
+DEFAULT_BUDGET_QUBITS = 12
+MAX_BUDGET_QUBITS = 14
 MAX_MESSAGES = 4096  # largest message space evaluate_code enumerates
 
 
@@ -53,9 +55,26 @@ class BudgetError(ValueError):
     """Requested computation exceeds the dense-matrix dimension budget."""
 
 
-def check_dim_budget(dim: int, max_dim: int = DIM_BUDGET) -> None:
-    if dim > max_dim:
-        raise BudgetError(f"total dimension {dim} exceeds budget {max_dim}")
+def budget_qubits() -> int:
+    """The dense-matrix budget in qubits: `QMAP_BUDGET_QUBITS`, else 12; at most 14."""
+    raw = os.environ.get("QMAP_BUDGET_QUBITS", str(DEFAULT_BUDGET_QUBITS))
+    try:
+        return min(MAX_BUDGET_QUBITS, int(raw))
+    except ValueError:
+        raise ValueError(f"QMAP_BUDGET_QUBITS must be an integer, got {raw!r}") from None
+
+
+def check_dim_budget(dim: int) -> None:
+    """Refuse a total dimension above 2^budget_qubits() before it is allocated."""
+    limit = 2 ** budget_qubits()
+    if dim > limit:
+        raise BudgetError(f"total dimension {dim} exceeds budget {limit}")
+
+
+def _n_copies(rho: DensityMatrix, n: int) -> DensityMatrix:
+    """rho^(x)n, after checking its dimension against the budget."""
+    check_dim_budget(rho.dim ** n)
+    return tensor_power(rho, n)
 
 
 def derived_rng(master_seed: int, *path: int) -> np.random.Generator:
@@ -604,8 +623,7 @@ def _flat_index(k_tuple: Sequence[int], sizes: Sequence[int]) -> int:
 def build_qmap_code(rho: DensityMatrix, senders: Sequence, b: Sequence[str],
                     e: Sequence[str], n: int, rates: Sequence[float],
                     splits: tuple[Sequence[float], Sequence[float]],
-                    rng, family: str = "haar", decoder: str = "pgm",
-                    max_dim: int = DIM_BUDGET) -> CodeSpec:
+                    rng, family: str = "haar", decoder: str = "pgm") -> CodeSpec:
     """Construct a full code from a rate tuple and its (C, D) split.
 
     Message and block counts are 2^ceil(n R_z) and 2^ceil(n D_z); each
@@ -621,8 +639,7 @@ def build_qmap_code(rho: DensityMatrix, senders: Sequence, b: Sequence[str],
     for cz, dz, rz in zip(c_rates, d_rates, rates):
         if abs(cz - (dz + rz)) > 1e-9:
             raise ValueError(f"inconsistent split: C={cz} != D+R={dz + rz}")
-    check_dim_budget(rho.dim ** n, max_dim)
-    rho_n = tensor_power(rho, n)
+    rho_n = _n_copies(rho, n)
     message_counts = _counts_from_rates(n, rates)
     block_sizes = _counts_from_rates(n, d_rates)
     copy_groups = tuple(SystemLayout.copy_major(g, n) for g in groups)
@@ -673,8 +690,7 @@ def evaluate_code(code: CodeSpec, rho: DensityMatrix) -> SimulationReport:
     if code.message_space > MAX_MESSAGES:
         raise BudgetError(
             f"message space {code.message_space} exceeds budget {MAX_MESSAGES}")
-    check_dim_budget(rho.dim ** code.n)
-    rho_n = tensor_power(rho, code.n)
+    rho_n = _n_copies(rho, code.n)
     sender_copy = [lab for g in code.sender_groups for lab in g]
     leak_labels = set(sender_copy) | set(code.e_labels)
 
@@ -765,8 +781,8 @@ def typical_projector(rho: DensityMatrix, n: int, delta: float) -> TypicalProjec
 def chained_randomization_experiment(rho: DensityMatrix, senders: Sequence,
                                      w_labels: Sequence[str], n: int,
                                      block_sizes: Sequence[int], trials: int,
-                                     master_seed: int, family: str = "haar",
-                                     max_dim: int = DIM_BUDGET) -> SimulationReport:
+                                     master_seed: int, family: str = "haar"
+                                     ) -> SimulationReport:
     """Randomize each sender in sequence over `trials` independent family
     draws; reports per-stage and total distances and asserts the triangle
     chain total <= sum of stages."""
@@ -774,8 +790,7 @@ def chained_randomization_experiment(rho: DensityMatrix, senders: Sequence,
     z_count = len(groups)
     if len(block_sizes) != z_count:
         raise ValueError("one block size per sender required")
-    check_dim_budget(rho.dim ** n, max_dim)
-    rho_n = tensor_power(rho, n)
+    rho_n = _n_copies(rho, n)
     copy_groups = [SystemLayout.copy_major(g, n) for g in groups]
     w_copies = list(SystemLayout.copy_major(w_labels, n))
 
@@ -783,7 +798,7 @@ def chained_randomization_experiment(rho: DensityMatrix, senders: Sequence,
     stages = []
     for z, group in enumerate(copy_groups):
         suffix = [lab for g in groups[z:] for lab in g] + list(w_labels)
-        marg_n = tensor_power(partial_trace(rho, suffix), n)
+        marg_n = _n_copies(partial_trace(rho, suffix), n)
         rest = [lab for lab in marg_n.layout.labels if lab not in group]
         stages.append((group, marg_n, _randomization_target(marg_n, group, rest)))
 
@@ -813,14 +828,15 @@ def chained_randomization_experiment(rho: DensityMatrix, senders: Sequence,
 
 def encoding_experiment(rho: DensityMatrix, senders: Sequence, n: int,
                         k_sweep: Sequence[int], trials: int, master_seed: int,
-                        family: str = "haar", max_dim: int = DIM_BUDGET
-                        ) -> SimulationReport:
+                        family: str = "haar") -> SimulationReport:
     """Sweep family sizes: for each size K and trial t, every sender draws a
     family of K unitaries (Haar prefix (K, t, z)), and the report holds the
     average PGM success on the K^Z encoded index states as `success_K<K>`."""
+    if len(set(k_sweep)) != len(k_sweep):
+        # a repeated size would redraw its seed prefixes and count each trial twice
+        raise ValueError(f"k_sweep sizes must be distinct, got {list(k_sweep)}")
     groups = label_groups(senders)
-    check_dim_budget(rho.dim ** n, max_dim)
-    rho_n = tensor_power(rho, n)
+    rho_n = _n_copies(rho, n)
     copy_groups = [SystemLayout.copy_major(g, n) for g in groups]
     samples: dict[str, list[float]] = {f"success_K{k}": [] for k in k_sweep}
     for k in k_sweep:

@@ -330,10 +330,6 @@ def check_set_function_properties(f: SetFunction, kind: str,
                           worst_pair, float(worst))
 
 
-def region_from_set_function(f: SetFunction, direction: str) -> RateRegion:
-    return RateRegion(f.z_count, f.values, direction)
-
-
 def _greedy_vertex(f: SetFunction, order: Sequence[int]) -> tuple[float, ...]:
     comps = [0.0] * f.z_count
     prev = 0
@@ -344,19 +340,23 @@ def _greedy_vertex(f: SetFunction, order: Sequence[int]) -> tuple[float, ...]:
     return tuple(comps)
 
 
-def _verify_vertex(f: SetFunction, order: Sequence[int], region: RateRegion,
-                   tol: float) -> tuple[float, ...]:
-    """The greedy vertex of `order`, checked to lie in `region`.
+def _greedy_vertices(f: SetFunction, direction: str) -> list[tuple[float, ...]]:
+    """The greedy vertex of every sender order, each checked to lie in the
+    `direction`-region of f, de-duplicated in first-seen order.
 
-    Edmonds' greedy theorem puts it there once the table passed its
-    precondition, so a miss is an InvariantError.
+    Edmonds' greedy theorem puts each vertex in the region once the table
+    passed its precondition, so a miss is an InvariantError.
     """
-    vertex = _greedy_vertex(f, order)
-    res = membership(region, vertex, tol)
-    if not res.member:
-        raise InvariantError(
-            f"greedy vertex {vertex} violates {res.worst_subset} by {-res.worst_margin}")
-    return vertex
+    region = RateRegion(f.z_count, f.values, direction)
+    seen: dict[tuple[float, ...], None] = {}
+    for order in permutations(range(1, f.z_count + 1)):
+        vertex = _greedy_vertex(f, order)
+        res = membership(region, vertex, ENTROPIC_TOL)
+        if not res.member:
+            raise InvariantError(
+                f"greedy vertex {vertex} violates {res.worst_subset} by {-res.worst_margin}")
+        seen.setdefault(vertex)
+    return list(seen)
 
 
 def polymatroid_vertices(f: SetFunction) -> list[tuple[float, ...]]:
@@ -365,11 +365,7 @@ def polymatroid_vertices(f: SetFunction) -> list[tuple[float, ...]]:
     report = check_set_function_properties(f, "subadditive-monotone")
     if not report.passed:
         raise ValueError(f"table is not subadditive-monotone: {report}")
-    region = region_from_set_function(f, "<=")
-    seen: dict[tuple[float, ...], None] = {}
-    for order in permutations(range(1, f.z_count + 1)):
-        seen.setdefault(_verify_vertex(f, order, region, ENTROPIC_TOL))
-    return list(seen)
+    return _greedy_vertices(f, "<=")
 
 
 def contrapolymatroid_vertices(d: SetFunction,
@@ -387,11 +383,7 @@ def contrapolymatroid_vertices(d: SetFunction,
         report = check_set_function_properties(d, "superadditive")
     if not report.passed:
         raise ValueError(f"precondition failed: {report}")
-    region = region_from_set_function(d, ">=")
-    seen: dict[tuple[float, ...], None] = {}
-    for order in permutations(range(1, d.z_count + 1)):
-        seen.setdefault(_verify_vertex(d, order, region, ENTROPIC_TOL))
-    return list(seen)
+    return _greedy_vertices(d, ">=")
 
 
 def membership(region: RateRegion, r: Sequence[float], slack: float) -> MembershipResult:
