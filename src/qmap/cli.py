@@ -124,6 +124,13 @@ def cmd_split(spec: ResolvedSpec, config: dict, out_dir: Path, seed: None) -> in
     return EXIT_OK
 
 
+def _trials(config: dict) -> int:
+    trials = _field(config, "trials", int, 1)
+    if trials < 1:
+        raise SpecError(f"trials must be >= 1, got {trials}", "$.trials")
+    return trials
+
+
 def _resolve_seed(args, config: dict, default: int | None = None) -> int:
     """--seed, else the config's master_seed, else `default` (if given)."""
     if args.seed is not None:
@@ -143,7 +150,7 @@ def cmd_simulate_randomization(spec: ResolvedSpec, config: dict, out_dir: Path,
     block_sizes = _field(config, "block_sizes", [int])
     if len(block_sizes) != z:
         raise SpecError(f"config needs 'block_sizes' of length {z}", "$.block_sizes")
-    trials = _field(config, "trials", int, 1)
+    trials = _trials(config)
     family = config.get("family", "haar")
     w_labels = list(spec.eavesdropper) if spec.eavesdropper else list(spec.receiver)
     report = protocols.chained_randomization_experiment(
@@ -158,7 +165,7 @@ def cmd_simulate_encoding(spec: ResolvedSpec, config: dict, out_dir: Path,
     k_sweep = _field(config, "k_sweep", [int], [1, 2, 4])
     if len(set(k_sweep)) != len(k_sweep):
         raise SpecError(f"k_sweep sizes must be distinct, got {k_sweep}", "$.k_sweep")
-    trials = _field(config, "trials", int, 1)
+    trials = _trials(config)
     family = config.get("family", "haar")
     report = protocols.encoding_experiment(spec.state, spec.senders, n, k_sweep, trials,
                                            seed, family=family)

@@ -18,8 +18,9 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -46,6 +47,9 @@ POVM_SUM_TOL = 1e-8
 # amplify eigenvalue noise past the 1e-10 state-level PSD tolerance
 POVM_PSD_TOL = 1e-8
 PINV_CUTOFF = 1e-10
+# eigenvalues of the single-copy state below this fraction of the largest are
+# dropped from the Gram-space PGM's factor
+RANK_CUTOFF = 1e-12
 DEFAULT_BUDGET_QUBITS = 12
 MAX_BUDGET_QUBITS = 14
 MAX_MESSAGES = 4096  # largest message space evaluate_code enumerates
@@ -201,10 +205,9 @@ def identity_family(z: int, n: int, d: int, size: int = 1) -> UnitaryFamily:
                                         for _ in range(size)), kind="identity")
 
 
-def _prefix_walk(root, families: Sequence[UnitaryFamily],
-                 groups: Sequence[Sequence[str]], k_tuples, step):
+def _prefix_walk(root, block, groups: Sequence[Sequence[str]], k_tuples, step):
     """For each index tuple in the given order, yield `root` after
-    `step(x, block, group)` has applied each sender's block unitary in turn.
+    `step(x, block(z, k_z), groups[z])` has applied each sender's unitary in turn.
 
     Only the steps after the prefix shared with the previous tuple are
     recomputed, and only the current prefix chain is kept alive.
@@ -219,7 +222,7 @@ def _prefix_walk(root, families: Sequence[UnitaryFamily],
             shared += 1
         del chain[shared + 1:]
         for z in range(shared, len(k_tuple)):
-            chain.append(step(chain[-1], families[z].block(k_tuple[z]), list(groups[z])))
+            chain.append(step(chain[-1], block(z, k_tuple[z]), list(groups[z])))
         previous = k_tuple
         yield chain[-1]
 
@@ -239,8 +242,8 @@ def encode(rho_n: DensityMatrix, families: Sequence[UnitaryFamily],
     if any(len(t) != len(families) for t in k_tuples):
         raise ValueError(f"each index tuple needs {len(families)} entries")
     order = sorted(range(len(k_tuples)), key=k_tuples.__getitem__)
-    walk = _prefix_walk(rho_n, families, groups, [k_tuples[i] for i in order],
-                        apply_unitary)
+    walk = _prefix_walk(rho_n, lambda z, k: families[z].block(k), groups,
+                        [k_tuples[i] for i in order], apply_unitary)
     by_index = dict(zip(order, walk))
     return [by_index[i] for i in range(len(k_tuples))]
 
@@ -332,11 +335,17 @@ def _psd_power(m: np.ndarray, power: float, cutoff: float | None = None) -> np.n
     return (vec * out) @ vec.conj().T
 
 
-def _sqrt_factor(m: np.ndarray) -> np.ndarray:
+def _sqrt_factor(m: np.ndarray, cutoff: float | None = None) -> np.ndarray:
     """F with F F^dag = m, from one eigendecomposition; negative eigenvalues
-    are clipped to zero and every eigenvector is kept."""
+    are clipped to zero. Every eigenvector is kept, or with `cutoff` only
+    those whose eigenvalue exceeds cutoff times the largest one, so that F
+    has m's numerical rank as its width."""
     eig, vec = np.linalg.eigh((m + m.conj().T) / 2)
-    return vec * np.sqrt(np.clip(eig, 0.0, None))
+    eig = np.clip(eig, 0.0, None)
+    if cutoff is not None:
+        keep = eig > cutoff * eig.max()
+        eig, vec = eig[keep], vec[:, keep]
+    return vec * np.sqrt(eig)
 
 
 def pgm_decoder(states: Sequence[DensityMatrix | np.ndarray],
@@ -412,10 +421,54 @@ def encoded_pgm(rho_n: DensityMatrix, families: Sequence[UnitaryFamily],
     """
     encoded = encode(rho_n, families, groups, k_tuples)
     layout = rho_n.layout
-    factors = _prefix_walk(_sqrt_factor(rho_n.matrix), families, groups, k_tuples,
-                           lambda f, u, on: apply_local(f, u, on, layout))
+    factors = _prefix_walk(_sqrt_factor(rho_n.matrix), lambda z, k: families[z].block(k),
+                           groups, k_tuples, lambda f, u, on: apply_local(f, u, on, layout))
     povm = pgm_decoder(encoded, [1.0 / len(encoded)] * len(encoded), factors=factors)
     return encoded, povm
+
+
+def pgm_success_table(factor: np.ndarray, layout: SystemLayout,
+                      families: Sequence[UnitaryFamily],
+                      groups: Sequence[Sequence[str]]) -> np.ndarray:
+    """P[k', k] = Tr[E_k' rho_k] for the uniform-prior PGM {E_k} of the
+    encoded states rho_k = U_k rho^(x)n U_k^dag, indexed by the flat index of
+    the tuples product(range(size) per family), without forming anything of
+    dimension d^n.
+
+    `factor` is a d x r matrix F with F F^dag = rho on `layout`, and sender
+    z's per-copy factors act on `groups[z]` of that layout. With
+    A = [sqrt(p_k) F_k], F_k = U_k F^(x)n, and G = A^dag A, the square-root
+    measurement gives Tr[E_k' rho_k] = ||(G^{1/2})_{k'k}||_F^2 / p_k
+    (Hausladen & Wootters 1994). U_k is a tensor product over copies, so
+    each (k', k) block of G is the Kronecker product over copies i of the
+    single-copy blocks F^dag V_k'i^dag V_ki F. G^{1/2} drops G's eigenvalues
+    below PINV_CUTOFF times the largest, as `pgm_decoder`'s pseudo-inverse
+    does for rhobar, whose nonzero spectrum G shares. Raises
+    StateValidationError when an entry is negative or a column sums above
+    one beyond the POVM tolerances.
+    """
+    n = families[0].n
+    k_tuples = list(product(*[range(f.size) for f in families]))
+    count, rank = len(k_tuples), factor.shape[1]
+    gram = np.ones((count, 1, count, 1))
+    for i in range(n):
+        walk = _prefix_walk(factor, lambda z, k: families[z].per_index[k][i], groups,
+                            k_tuples, lambda f, u, on: apply_local(f, u, on, layout))
+        cols = np.concatenate(list(walk), axis=1)  # column (k, a) is V_ki F e_a
+        copy = (cols.conj().T @ cols).reshape(count, rank, count, rank)
+        width = gram.shape[1] * rank
+        gram = np.einsum("xaYb,xcYd->xacYbd", gram, copy).reshape(
+            count, width, count, width)
+    size = gram.shape[1]
+    root = _psd_power(gram.reshape(count * size, count * size) / count, 0.5,
+                      cutoff=PINV_CUTOFF)
+    table = count * np.sum(np.abs(root.reshape(count, size, count, size)) ** 2,
+                           axis=(1, 3))
+    if table.min() < -POVM_PSD_TOL or table.sum(axis=0).max() > 1 + POVM_SUM_TOL:
+        raise StateValidationError(
+            f"PGM success table out of range: min entry {table.min()}, "
+            f"max column sum {table.sum(axis=0).max()}")
+    return table
 
 
 def sequential_decoder(rho: DensityMatrix, sender_groups: Sequence[Sequence[str]],
@@ -570,6 +623,12 @@ class SimulationReport:
         return buf.getvalue()
 
 
+def _check_trials(trials: int) -> None:
+    """An experiment needs a trial to average: fewer would report NaN means."""
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+
+
 def _mean_estimates(samples: dict[str, tuple[float, ...]]) -> dict[str, float]:
     return {name: float(np.mean(vals)) for name, vals in samples.items()}
 
@@ -578,7 +637,13 @@ def _mean_estimates(samples: dict[str, tuple[float, ...]]) -> dict[str, float]:
 class CodeSpec:
     """Full code: per-sender unitary families with block structure and a
     coarse-grained decoder, one POVM element per message tuple (a trailing
-    completion element may follow them)."""
+    completion element may follow them).
+
+    The decoder is given as a `Povm` or as a function that builds one, called
+    on the first access of `decoder`. `success_table`, when present, is the
+    index-level table P[k', k] = Tr[E_k' rho_k] of `pgm_success_table`, from
+    which `evaluate_code` reads decoding success without the decoder.
+    """
 
     n: int
     z_count: int
@@ -588,16 +653,21 @@ class CodeSpec:
     message_counts: tuple[int, ...]
     block_sizes: tuple[int, ...]
     families: tuple[UnitaryFamily, ...]
-    decoder: Povm
+    _decoder: Povm | Callable[[], Povm]
     family_kind: str
     decoder_kind: str
     master_seed: int | None
+    success_table: np.ndarray | None = None
 
     def __post_init__(self):
         for fam, m, l in zip(self.families, self.message_counts, self.block_sizes):
             if fam.size != m * l:
                 raise ValueError(
                     f"family size {fam.size} != L*M = {l}*{m} for sender {fam.z}")
+
+    @cached_property
+    def decoder(self) -> Povm:
+        return self._decoder if isinstance(self._decoder, Povm) else self._decoder()
 
     @property
     def message_space(self) -> int:
@@ -613,11 +683,16 @@ def _counts_from_rates(n: int, rates: Sequence[float]) -> list[int]:
     return counts
 
 
-def _flat_index(k_tuple: Sequence[int], sizes: Sequence[int]) -> int:
-    idx = 0
-    for k, s in zip(k_tuple, sizes):
-        idx = idx * s + k
-    return idx
+def _message_blocks(message_counts: Sequence[int], block_sizes: Sequence[int]
+                    ) -> np.ndarray:
+    """Row m (messages in flat order) holds the flat index of the index tuple
+    (m_z L_z + l_z)_z for each block tuple l in flat order."""
+    sizes = [m * l for m, l in zip(message_counts, block_sizes)]
+    return np.array([
+        [np.ravel_multi_index([m * l_z + l for m, l_z, l in zip(m_tuple, block_sizes,
+                                                                 l_tuple)], sizes)
+         for l_tuple in product(*[range(l) for l in block_sizes])]
+        for m_tuple in product(*[range(m) for m in message_counts])])
 
 
 def build_qmap_code(rho: DensityMatrix, senders: Sequence, b: Sequence[str],
@@ -630,6 +705,11 @@ def build_qmap_code(rho: DensityMatrix, senders: Sequence, b: Sequence[str],
     message's encoding is the uniform mixture of its block of family
     unitaries, and the decoder coarse-grains the index-level decoder over
     blocks. The split must satisfy C_z = D_z + R_z within 1e-9.
+
+    The decoder is built on the first access of `code.decoder`. A PGM code
+    with N index tuples on a state of rank r also carries the table of
+    `pgm_success_table` when N r^n <= d^n, so that its Gram matrix is no
+    larger than one n-copy state.
     """
     groups = label_groups(senders)
     c_rates, d_rates = splits
@@ -639,7 +719,7 @@ def build_qmap_code(rho: DensityMatrix, senders: Sequence, b: Sequence[str],
     for cz, dz, rz in zip(c_rates, d_rates, rates):
         if abs(cz - (dz + rz)) > 1e-9:
             raise ValueError(f"inconsistent split: C={cz} != D+R={dz + rz}")
-    rho_n = _n_copies(rho, n)
+    check_dim_budget(rho.dim ** n)
     message_counts = _counts_from_rates(n, rates)
     block_sizes = _counts_from_rates(n, d_rates)
     copy_groups = tuple(SystemLayout.copy_major(g, n) for g in groups)
@@ -650,31 +730,33 @@ def build_qmap_code(rho: DensityMatrix, senders: Sequence, b: Sequence[str],
                 for z, (m, l, g) in enumerate(zip(message_counts, block_sizes, groups),
                                               start=1)]
 
-    sizes = [fam.size for fam in families]
+    table = None
     if decoder == "pgm":
-        k_tuples = list(product(*[range(s) for s in sizes]))
-        _, index_povm = encoded_pgm(rho_n, families, copy_groups, k_tuples)
-        index_elements = list(index_povm.elements[: len(k_tuples)])
-        completion = list(index_povm.elements[len(k_tuples):])
+        def index_elements():
+            k_tuples = list(product(*[range(f.size) for f in families]))
+            _, povm = encoded_pgm(_n_copies(rho, n), families, copy_groups, k_tuples)
+            return povm.elements
+        factor = _sqrt_factor(rho.matrix, cutoff=RANK_CUTOFF)
+        if math.prod(f.size for f in families) * factor.shape[1] ** n <= rho.dim ** n:
+            table = pgm_success_table(factor, rho.layout, families, groups)
     elif decoder == "sequential":
-        index_povm, _ = sequential_decoder(
-            rho_n, copy_groups, list(b_copies) + list(e_copies), families)
-        index_elements = list(index_povm.elements)
-        completion = []
+        def index_elements():
+            povm, _ = sequential_decoder(_n_copies(rho, n), copy_groups,
+                                         list(b_copies) + list(e_copies), families)
+            return povm.elements
     else:
         raise ValueError(f"unknown decoder kind {decoder!r}")
 
-    coarse = []
-    for m_tuple in product(*[range(m) for m in message_counts]):
-        lam = np.zeros((rho_n.dim, rho_n.dim), dtype=complex)
-        for l_tuple in product(*[range(l) for l in block_sizes]):
-            k_tuple = [m * l_z + l for m, l_z, l in zip(m_tuple, block_sizes, l_tuple)]
-            lam = lam + index_elements[_flat_index(k_tuple, sizes)]
-        coarse.append(lam)
-    decoder_povm = Povm(tuple(coarse + completion))
+    def coarse_decoder() -> Povm:
+        elements = index_elements()
+        blocks = _message_blocks(message_counts, block_sizes)
+        coarse = [sum(elements[k] for k in row) for row in blocks]
+        # a PGM's trailing completion element stays the last outcome
+        return Povm(tuple(coarse) + tuple(elements[blocks.size:]))
+
     return CodeSpec(n, len(groups), copy_groups, b_copies, e_copies,
                     tuple(message_counts), tuple(block_sizes), tuple(families),
-                    decoder_povm, family, decoder, master_seed)
+                    coarse_decoder, family, decoder, master_seed, table)
 
 
 def evaluate_code(code: CodeSpec, rho: DensityMatrix) -> SimulationReport:
@@ -682,8 +764,9 @@ def evaluate_code(code: CodeSpec, rho: DensityMatrix) -> SimulationReport:
     space (at most MAX_MESSAGES messages, else BudgetError).
 
     Each message's state mixes each sender's block of family unitaries in
-    turn. Reports per-message success and leakage samples, the decoding error
-    epsilon = 1 - mean success, the leakage theta (mean full trace norm to
+    turn. Decoding success is read from the code's `success_table` when it
+    has one, else from its decoder's elements. Reports per-message success
+    and leakage samples, the decoding error epsilon = 1 - mean success, the leakage theta (mean full trace norm to
     the average encoded state on the senders-plus-eavesdropper marginal),
     and the randomization distance of the average state.
     """
@@ -705,9 +788,17 @@ def evaluate_code(code: CodeSpec, rho: DensityMatrix) -> SimulationReport:
     bar_leak = partial_trace(bar_state, leak_labels)
     target = _randomization_target(bar_state, sender_copy, code.e_labels)
 
-    success_samples, leak_samples, rand_samples = [], [], []
-    for element, state in zip(code.decoder.elements, states):
-        success_samples.append(float(np.real(np.einsum("ij,ji->", element, state.matrix))))
+    if code.success_table is not None:
+        # Tr[(sum_l' E_k(m,l')) mean_l rho_k(m,l)]: sum over the decoded
+        # block, mean over the encoded one
+        blocks = _message_blocks(code.message_counts, code.block_sizes)
+        table = code.success_table[blocks[:, :, None], blocks[:, None, :]]
+        success_samples = [float(v) for v in table.sum(axis=(1, 2)) / blocks.shape[1]]
+    else:
+        success_samples = [float(np.real(np.einsum("ij,ji->", element, state.matrix)))
+                           for element, state in zip(code.decoder.elements, states)]
+    leak_samples, rand_samples = [], []
+    for state in states:
         msg_leak = partial_trace(state, leak_labels)
         leak_samples.append(trace_norm(msg_leak.matrix - bar_leak.matrix))
         rand_samples.append(trace_norm(msg_leak.matrix - target.matrix))
@@ -786,6 +877,7 @@ def chained_randomization_experiment(rho: DensityMatrix, senders: Sequence,
     """Randomize each sender in sequence over `trials` independent family
     draws; reports per-stage and total distances and asserts the triangle
     chain total <= sum of stages."""
+    _check_trials(trials)
     groups = label_groups(senders)
     z_count = len(groups)
     if len(block_sizes) != z_count:
@@ -832,6 +924,7 @@ def encoding_experiment(rho: DensityMatrix, senders: Sequence, n: int,
     """Sweep family sizes: for each size K and trial t, every sender draws a
     family of K unitaries (Haar prefix (K, t, z)), and the report holds the
     average PGM success on the K^Z encoded index states as `success_K<K>`."""
+    _check_trials(trials)
     if len(set(k_sweep)) != len(k_sweep):
         # a repeated size would redraw its seed prefixes and count each trial twice
         raise ValueError(f"k_sweep sizes must be distinct, got {list(k_sweep)}")
