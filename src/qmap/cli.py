@@ -14,12 +14,11 @@ import sys
 from functools import partial
 from pathlib import Path
 
-import numpy as np
-
 from . import protocols, regions
-from .presets import ResolvedSpec, SpecError, resolve_state_spec
+from .presets import ResolvedSpec, SpecError, _field, resolve_state_spec
 from .protocols import BudgetError, budget_qubits  # noqa: F401 (public via qmap.cli)
-from .qstate import StateValidationError, SystemLayout, random_density
+from .protocols import _lemma_structure_suite, _lemma_vertices_suite  # noqa: F401
+from .qstate import StateValidationError
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -35,16 +34,6 @@ def _load_json(path: str, what: str) -> dict:
         raise SpecError(f"{what} file not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise SpecError(f"{what} is not valid JSON: {exc}") from exc
-
-
-def _field(obj: dict, key: str, kind, default=None, path: str = "$"):
-    """obj[key] (`default` when absent) as `kind`, or as a list of `kind[0]` for
-    `kind = [type]`; a value that does not convert is a SpecError at `path.key`."""
-    value = obj.get(key, default)
-    try:
-        return [kind[0](x) for x in value] if isinstance(kind, list) else kind(value)
-    except (TypeError, ValueError) as exc:
-        raise SpecError(f"invalid value {value!r}: {exc}", f"{path}.{key}") from exc
 
 
 def _write_json(out_dir: Path, name: str, payload: dict) -> None:
@@ -151,7 +140,7 @@ def cmd_simulate_randomization(spec: ResolvedSpec, config: dict, out_dir: Path,
     if len(block_sizes) != z:
         raise SpecError(f"config needs 'block_sizes' of length {z}", "$.block_sizes")
     trials = _trials(config)
-    family = config.get("family", "haar")
+    family = _field(config, "family", str, "haar")
     w_labels = list(spec.eavesdropper) if spec.eavesdropper else list(spec.receiver)
     report = protocols.chained_randomization_experiment(
         spec.state, spec.senders, w_labels, n, block_sizes, trials, seed, family=family)
@@ -166,7 +155,7 @@ def cmd_simulate_encoding(spec: ResolvedSpec, config: dict, out_dir: Path,
     if len(set(k_sweep)) != len(k_sweep):
         raise SpecError(f"k_sweep sizes must be distinct, got {k_sweep}", "$.k_sweep")
     trials = _trials(config)
-    family = config.get("family", "haar")
+    family = _field(config, "family", str, "haar")
     report = protocols.encoding_experiment(spec.state, spec.senders, n, k_sweep, trials,
                                            seed, family=family)
     _write_report(out_dir, "simulate-encoding", report)
@@ -178,8 +167,8 @@ def cmd_simulate_code(spec: ResolvedSpec, config: dict, out_dir: Path,
     n = _field(config, "n", int, 1)
     z = len(spec.senders)
     rates = _rates_from_config(config, z)
-    family = config.get("family", "haar")
-    decoder = config.get("decoder", "pgm")
+    family = _field(config, "family", str, "haar")
+    decoder = _field(config, "decoder", str, "pgm")
     splits_cfg = config.get("splits")
     if splits_cfg is not None:
         if not isinstance(splits_cfg, dict):
@@ -196,112 +185,11 @@ def cmd_simulate_code(spec: ResolvedSpec, config: dict, out_dir: Path,
     return EXIT_OK
 
 
-def _lemma_state(seed: int, suite: int, z: int, trial: int, rest: tuple[str, ...]):
-    """Random full-rank qubit state on A1..Az plus the `rest` factors, from the
-    stream (seed, suite, z, trial), and its sender labels."""
-    senders = [f"A{i}" for i in range(1, z + 1)]
-    layout = SystemLayout(tuple((lab, 2) for lab in senders + list(rest)))
-    rho = random_density(layout, layout.dim, protocols.derived_rng(seed, suite, z, trial))
-    return rho, senders
-
-
-def _tally(cases: int, failures: list[dict]) -> dict:
-    """A lemma suite's result: it passed when none of its cases failed."""
-    return {"passed": not failures, "cases": cases, "failures": failures}
-
-
-def _lemma_structure_suite(seed: int, sizes: list[int], states_per_size: int) -> dict:
-    """Zero/nonnegative/monotone/strongly-subadditive checks for the encoding
-    table and its randomization complements on random states."""
-    cases, failures = 0, []
-    for z in sizes:
-        for trial in range(states_per_size):
-            rho, senders = _lemma_state(seed, 1, z, trial, ("V",))
-            # with B empty, chat's V = B E and dhat's W = E are both V: one table
-            chat, dhat, _ = regions.region_tables(rho, senders, (), ("V",))
-            dcheck = regions.dcheck_from_dhat(dhat, [1.0] * z)
-            for name, table, kind in (
-                    ("chat", chat, "subadditive-monotone"),
-                    ("dcheck", dcheck, "subadditive-monotone"),
-                    ("dhat", dhat, "superadditive")):
-                report = regions.check_set_function_properties(table, kind)
-                cases += 1
-                if not report.passed:
-                    failures.append({"z": z, "trial": trial, "table": name,
-                                     "worst": report.worst_violation})
-    return _tally(cases, failures)
-
-
-def _lemma_vertices_suite(seed: int, sizes: list[int], states_per_size: int) -> dict:
-    cases, failures = 0, []
-    for z in sizes:
-        for trial in range(states_per_size):
-            rho, senders = _lemma_state(seed, 2, z, trial, ("V",))
-            chat, dhat, _ = regions.region_tables(rho, senders, (), ("V",))
-            cases += 1
-            try:
-                regions.polymatroid_vertices(chat)
-                regions.contrapolymatroid_vertices(dhat, [1.0] * z)
-            except ValueError as exc:
-                failures.append({"z": z, "trial": trial, "error": str(exc)})
-    return _tally(cases, failures)
-
-
-def _lemma_separation_suite(seed: int, sizes: list[int], trials: int) -> dict:
-    cases, failures = 0, []
-    for z in sizes:
-        for trial in range(trials):
-            rho, senders = _lemma_state(seed, 3, z, trial, ("B", "E"))
-            chat, dhat, _ = regions.region_tables(rho, senders, ["B"], ["E"])
-            gaps = [chat.at(m) - dhat.at(m) for m in range(1, 1 << z)]
-            if min(gaps) <= 1e-6:
-                continue  # no strict interior to split in
-            rates = [0.25 * min(gaps) / z] * z
-            cases += 1
-            try:
-                c, d = regions.rate_split(rates, chat, dhat)
-                for m in range(1, 1 << z):
-                    idx = [i for i in range(z) if m >> i & 1]
-                    if not (math.fsum(c[i] for i in idx) < chat.at(m)
-                            and math.fsum(d[i] for i in idx) > dhat.at(m)):
-                        raise AssertionError(f"sandwich fails at mask {m}")
-                    if any(c[i] != d[i] + rates[i] for i in idx):
-                        raise AssertionError("c != d + r")
-            except (ValueError, AssertionError) as exc:
-                failures.append({"z": z, "trial": trial, "error": str(exc)})
-    return _tally(cases, failures)
-
-
-def _lemma_union_bound_suite(seed: int, trials: int) -> dict:
-    dim = 8
-    failures = []
-    for trial in range(trials):
-        rng = protocols.derived_rng(seed, 4, trial)
-        lams = []
-        for _ in range(3):
-            g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-            h = g @ g.conj().T
-            lams.append(h / (np.linalg.eigvalsh(h).max() * (1 + rng.uniform(0, 1))))
-        layout = SystemLayout((("S", dim),))
-        rho = random_density(layout, dim, rng)
-        try:
-            protocols.union_bound_check(lams, rho)
-        except AssertionError as exc:
-            failures.append({"trial": trial, "error": str(exc)})
-    return _tally(trials, failures)
-
-
 def cmd_verify_lemmas(spec: None, config: dict, out_dir: Path, seed: int) -> int:
-    sizes = _field(config, "sizes", [int], [2, 3])
-    states_per_size = _field(config, "states_per_size", int, 10)
-    union_trials = _field(config, "union_trials", int, 100)
-    suites = {
-        "set_function_structure": _lemma_structure_suite(seed, sizes, states_per_size),
-        "greedy_vertices": _lemma_vertices_suite(seed, sizes, states_per_size),
-        "rate_splitting": _lemma_separation_suite(seed, sizes, states_per_size),
-        "union_bound": _lemma_union_bound_suite(seed, union_trials),
-    }
-    if config.get("counterexample"):
+    suites = protocols.lemma_suites(seed, _field(config, "sizes", [int], [2, 3]),
+                                    _field(config, "states_per_size", int, 10),
+                                    _field(config, "union_trials", int, 100))
+    if _field(config, "counterexample", bool, False):
         # negative control: a table violating strong subadditivity must fail
         bad = regions.SetFunction(2, (0.0, 1.0, 1.0, 3.0))
         report = regions.check_set_function_properties(bad, "subadditive-monotone")

@@ -7,13 +7,15 @@ significant (plain Kronecker order).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
 import numpy as np
 
-from .qstate import DensityMatrix, SystemLayout, maximally_mixed, pure_state, tensor
+from .protocols import check_dim_budget
+from .qstate import (
+    DensityMatrix, SystemLayout, label_groups, maximally_mixed, pure_state, tensor)
 
 
 class SpecError(ValueError):
@@ -22,6 +24,26 @@ class SpecError(ValueError):
     def __init__(self, message: str, path: str = "$"):
         super().__init__(f"{path}: {message}")
         self.path = path
+
+
+def _field(obj: dict, key: str, kind, default=None, path: str = "$"):
+    """obj[key] (`default` when absent) as `kind`, or, for `kind = [type]`, a list
+    as a list of `kind[0]`; a value that does not convert is a SpecError at `path.key`."""
+    value = obj.get(key, default)
+    try:
+        if isinstance(kind, list) and not isinstance(value, (list, tuple)):
+            raise TypeError("expected a list")
+        return [kind[0](x) for x in value] if isinstance(kind, list) else kind(value)
+    except (TypeError, ValueError) as exc:
+        raise SpecError(f"invalid value {value!r}: {exc}", f"{path}.{key}") from exc
+
+
+def _labels(value) -> list[str]:
+    """A label or a list of labels as a list of strings; a `_field` kind."""
+    labels = [value] if isinstance(value, str) else value
+    if not isinstance(labels, (list, tuple)) or not all(isinstance(x, str) for x in labels):
+        raise TypeError("expected a label or a list of labels")
+    return list(labels)
 
 
 @dataclass(frozen=True)
@@ -67,33 +89,41 @@ def cq_state(probs: Sequence[float], label_a: str = "A1",
     return DensityMatrix(m, layout)
 
 
-def _preset(name: str, params: dict) -> ResolvedSpec:
+def _preset(name: str, params) -> ResolvedSpec:
+    """The named preset; a state above the dimension budget is refused unbuilt."""
+    if not isinstance(params, dict):
+        raise SpecError(f"must be an object, got {params!r}", "$.preset.params")
+    field = partial(_field, params, path="$.preset.params")
     if name == "bell":
         return ResolvedSpec(bell_pair(), (("A1",),), ("B",), ())
     if name == "two-bell":
         s = tensor(bell_pair("A1", "B1"), bell_pair("A2", "B2"))
         return ResolvedSpec(s, (("A1",), ("A2",)), ("B1", "B2"), ())
     if name == "ghz":
-        k = int(params.get("parties", 3))
+        k = field("parties", int, 3)
+        check_dim_budget(2 ** k)
         labels = [f"A{i}" for i in range(1, k)] + ["B"]
         s = ghz_state(labels)
         return ResolvedSpec(s, tuple((lab,) for lab in labels[:-1]), ("B",), ())
     if name == "werner":
-        return ResolvedSpec(werner_state(float(params.get("p", 0.5))),
-                            (("A1",),), ("B",), ())
+        return ResolvedSpec(werner_state(field("p", float, 0.5)), (("A1",),), ("B",), ())
     if name == "product":
-        da = int(params.get("dim_a", 2))
-        db = int(params.get("dim_b", 2))
+        da = field("dim_a", int, 2)
+        db = field("dim_b", int, 2)
+        check_dim_budget(da * db)
         s = tensor(maximally_mixed(SystemLayout((("A1", da),))),
                    maximally_mixed(SystemLayout((("B", db),))))
         return ResolvedSpec(s, (("A1",),), ("B",), ())
     if name == "cq":
-        probs = params.get("probs", [0.5, 0.5])
+        probs = field("probs", [float], [0.5, 0.5])
+        check_dim_budget(len(probs) ** 2)
         return ResolvedSpec(cq_state(probs), (("A1",),), ("B",), ())
     raise SpecError(f"unknown preset {name!r}", "$.preset.name")
 
 
 def _parse_matrix(entries, dim: int) -> np.ndarray:
+    if not isinstance(entries, list) or len(entries) != dim:
+        raise SpecError(f"matrix must be a list of {dim} rows", "$.matrix")
     try:
         pairs = np.asarray(entries, dtype=float)
     except (TypeError, ValueError):
@@ -108,13 +138,11 @@ def _parse_matrix(entries, dim: int) -> np.ndarray:
         return m
     # malformed: the per-entry checks below name the offending path
     m = np.zeros((dim, dim), dtype=complex)
-    if len(entries) != dim:
-        raise SpecError(f"matrix must have {dim} rows, got {len(entries)}", "$.matrix")
     for i, row in enumerate(entries):
-        if len(row) != dim:
-            raise SpecError(f"row {i} must have {dim} entries", f"$.matrix[{i}]")
+        if not isinstance(row, list) or len(row) != dim:
+            raise SpecError(f"row {i} must be a list of {dim} entries", f"$.matrix[{i}]")
         for j, pair in enumerate(row):
-            if len(pair) != 2:
+            if not isinstance(pair, list) or len(pair) != 2:
                 raise SpecError("entries must be [re, im] pairs", f"$.matrix[{i}][{j}]")
             try:
                 m[i, j] = complex(float(pair[0]), float(pair[1]))
@@ -124,30 +152,18 @@ def _parse_matrix(entries, dim: int) -> np.ndarray:
     return m
 
 
-def _parse_roles(obj: dict, layout_labels: Sequence[str],
-                 default: ResolvedSpec | None) -> tuple:
-    def groupify(entry, path):
-        if not isinstance(entry, list):
-            raise SpecError("must be a list of labels or label groups", path)
-        groups = []
-        for g in entry:
-            groups.append((g,) if isinstance(g, str) else tuple(g))
-        return tuple(groups)
-
-    if "senders" in obj:
-        senders = groupify(obj["senders"], "$.senders")
-    elif default is not None:
-        senders = default.senders
-    else:
-        raise SpecError("missing required field", "$.senders")
-    receiver = tuple(obj.get("receiver", default.receiver if default else ()))
-    eaves = tuple(obj.get("eavesdropper", default.eavesdropper if default else ()))
-    flat = [lab for g in senders for lab in g] + list(receiver) + list(eaves)
-    if sorted(flat) != sorted(layout_labels):
-        raise SpecError(
-            f"roles {sorted(flat)} must partition the layout {sorted(layout_labels)}",
-            "$.senders")
-    return senders, receiver, eaves
+def _with_roles(obj: dict, base: ResolvedSpec) -> ResolvedSpec:
+    """`base` with the roles that `obj` gives; they must partition the layout."""
+    spec = ResolvedSpec(
+        base.state, tuple(label_groups(_field(obj, "senders", [_labels], base.senders))),
+        tuple(_field(obj, "receiver", _labels, base.receiver)),
+        tuple(_field(obj, "eavesdropper", _labels, base.eavesdropper)))
+    flat = [lab for g in spec.senders for lab in g] + [*spec.receiver, *spec.eavesdropper]
+    labels = spec.state.layout.labels
+    if sorted(flat) != sorted(labels):
+        raise SpecError(f"roles {sorted(flat)} must partition the layout {sorted(labels)}",
+                        "$.senders")
+    return spec
 
 
 def resolve_state_spec(obj: dict) -> ResolvedSpec:
@@ -158,9 +174,7 @@ def resolve_state_spec(obj: dict) -> ResolvedSpec:
         preset = obj["preset"]
         if not isinstance(preset, dict) or "name" not in preset:
             raise SpecError("preset must be {'name': ..., 'params': {...}}", "$.preset")
-        base = _preset(preset["name"], preset.get("params", {}))
-        senders, receiver, eaves = _parse_roles(obj, base.state.layout.labels, base)
-        return ResolvedSpec(base.state, senders, receiver, eaves)
+        return _with_roles(obj, _preset(preset["name"], preset.get("params", {})))
     if "layout" not in obj or "matrix" not in obj:
         raise SpecError("spec needs either 'preset' or 'layout' + 'matrix'")
     try:
@@ -172,8 +186,7 @@ def resolve_state_spec(obj: dict) -> ResolvedSpec:
         state = DensityMatrix(matrix, layout)
     except ValueError as exc:
         raise SpecError(str(exc), "$.matrix") from exc
-    senders, receiver, eaves = _parse_roles(obj, layout.labels, None)
-    return ResolvedSpec(state, senders, receiver, eaves)
+    return _with_roles(obj, ResolvedSpec(state, None, (), ()))  # senders has no default
 
 
 def state_spec_to_json(spec: ResolvedSpec) -> dict:

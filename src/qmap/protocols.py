@@ -3,7 +3,7 @@
 Haar and generalized-Pauli tensor-product unitary families, distributed
 randomization, pretty-good-measurement and sequential decoders, the gentle
 sequential-measurement bound, full codes with measured decoding error and
-leakage, and typical projectors.
+leakage, typical projectors, and the `verify-lemmas` suites.
 
 RNG contract: a master seed derives one independent stream per
 (sender, index, copy) via a counter construction, so reports are
@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 import os
 from dataclasses import dataclass, field
@@ -24,6 +23,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+from . import regions
 from .qstate import (
     DensityMatrix,
     DimensionError,
@@ -37,6 +37,7 @@ from .qstate import (
     partial_trace,
     permute_factors,
     psd_violation,
+    random_density,
     tensor,
     tensor_power,
     trace_norm,
@@ -144,15 +145,14 @@ class UnitaryFamily:
         return u
 
 
-def make_family(kind: str, z: int, n: int, d: int, size: int, master_seed,
+def make_family(kind: str, z: int, n: int, d: int, size: int, master_seed: int,
                 prefix: Sequence[int] = ()) -> UnitaryFamily:
     """Sender z's family of `size` tensor-product unitaries on n copies of a
     d-dim system: "haar", "pauli" (`pauli_family`) or "identity".
 
-    For "haar" with an integer `master_seed`, factor (k, i) is drawn from
-    derived_rng(master_seed, *prefix, k, i) and the family records
-    seed=(master_seed, *prefix), so each caller's prefix fixes its seed path.
-    A Generator `master_seed` supplies the factors sequentially instead.
+    For "haar", factor (k, i) is drawn from derived_rng(master_seed, *prefix,
+    k, i) and the family records seed=(master_seed, *prefix), so each
+    caller's prefix fixes its seed path.
     """
     if kind == "pauli":
         return pauli_family(z, n, d, size=size)
@@ -162,24 +162,16 @@ def make_family(kind: str, z: int, n: int, d: int, size: int, master_seed,
         raise ValueError(f"unknown family kind {kind!r}")
     if size < 1 or n < 1:
         raise ValueError("K and n must be >= 1")
-    seed = None
-    if isinstance(master_seed, (int, np.integer)):
-        seed = (int(master_seed), *prefix)
-        streams = [[derived_rng(*seed, k, i) for i in range(n)] for k in range(size)]
-    else:
-        streams = [[master_seed] * n] * size
-    per_index = tuple(tuple(haar_unitary(d, rng) for rng in copies) for copies in streams)
+    seed = (int(master_seed), *prefix)
+    per_index = tuple(tuple(haar_unitary(d, derived_rng(*seed, k, i)) for i in range(n))
+                      for k in range(size))
     return UnitaryFamily(z, n, d, per_index, kind="haar", seed=seed)
 
 
-def sample_family(z: int, n: int, K: int, d: int, rng) -> UnitaryFamily:
-    """K independent Haar tensor-product unitaries.
-
-    `rng` may be a Generator (factors drawn sequentially) or an integer
-    master seed, in which case each (z, k, i) factor gets its own counter
-    stream and the result is order-independent.
-    """
-    return make_family("haar", z, n, d, K, rng, (z,))
+def sample_family(z: int, n: int, K: int, d: int, master_seed: int) -> UnitaryFamily:
+    """K independent Haar tensor-product unitaries; factor (k, i) has its own
+    counter stream derived_rng(master_seed, z, k, i)."""
+    return make_family("haar", z, n, d, K, master_seed, (z,))
 
 
 def pauli_family(z: int, n: int, d: int, size: int | None = None) -> UnitaryFamily:
@@ -698,7 +690,7 @@ def _message_blocks(message_counts: Sequence[int], block_sizes: Sequence[int]
 def build_qmap_code(rho: DensityMatrix, senders: Sequence, b: Sequence[str],
                     e: Sequence[str], n: int, rates: Sequence[float],
                     splits: tuple[Sequence[float], Sequence[float]],
-                    rng, family: str = "haar", decoder: str = "pgm") -> CodeSpec:
+                    master_seed, family: str = "haar", decoder: str = "pgm") -> CodeSpec:
     """Construct a full code from a rate tuple and its (C, D) split.
 
     Message and block counts are 2^ceil(n R_z) and 2^ceil(n D_z); each
@@ -725,8 +717,7 @@ def build_qmap_code(rho: DensityMatrix, senders: Sequence, b: Sequence[str],
     copy_groups = tuple(SystemLayout.copy_major(g, n) for g in groups)
     b_copies = SystemLayout.copy_major(b, n)
     e_copies = SystemLayout.copy_major(e, n)
-    master_seed = rng if isinstance(rng, (int, np.integer)) else None
-    families = [make_family(family, z, n, rho.layout.dim_of(g), m * l, rng, (z,))
+    families = [make_family(family, z, n, rho.layout.dim_of(g), m * l, master_seed, (z,))
                 for z, (m, l, g) in enumerate(zip(message_counts, block_sizes, groups),
                                               start=1)]
 
@@ -759,6 +750,16 @@ def build_qmap_code(rho: DensityMatrix, senders: Sequence, b: Sequence[str],
                     coarse_decoder, family, decoder, master_seed, table)
 
 
+def _message_states(code: CodeSpec, rho_n: DensityMatrix):
+    """The message states in flat message order, built one at a time."""
+    for m_tuple in product(*[range(m) for m in code.message_counts]):
+        state = rho_n
+        for fam, group, m, l_z in zip(code.families, code.sender_groups, m_tuple,
+                                      code.block_sizes):
+            state = _mix(state, [fam.block(m * l_z + l) for l in range(l_z)], group)
+        yield state
+
+
 def evaluate_code(code: CodeSpec, rho: DensityMatrix) -> SimulationReport:
     """Decoding error and leakage of a code, exactly over its whole message
     space (at most MAX_MESSAGES messages, else BudgetError).
@@ -777,14 +778,15 @@ def evaluate_code(code: CodeSpec, rho: DensityMatrix) -> SimulationReport:
     sender_copy = [lab for g in code.sender_groups for lab in g]
     leak_labels = set(sender_copy) | set(code.e_labels)
 
-    states = []  # in flat message-index order
-    for m_tuple in product(*[range(m) for m in code.message_counts]):
-        state = rho_n
-        for fam, group, m, l_z in zip(code.families, code.sender_groups, m_tuple,
-                                      code.block_sizes):
-            state = _mix(state, [fam.block(m * l_z + l) for l in range(l_z)], group)
-        states.append(state)
-    bar_state = DensityMatrix(sum(s.matrix for s in states) / len(states), rho_n.layout)
+    # summed from 0, as sum() does, so the average keeps its values and zero signs
+    total, msg_leaks, success_samples = 0, [], []
+    for idx, state in enumerate(_message_states(code, rho_n)):
+        total = total + state.matrix
+        msg_leaks.append(partial_trace(state, leak_labels))
+        if code.success_table is None:
+            success_samples.append(float(np.real(np.einsum(
+                "ij,ji->", code.decoder.elements[idx], state.matrix))))
+    bar_state = DensityMatrix(total / len(msg_leaks), rho_n.layout)
     bar_leak = partial_trace(bar_state, leak_labels)
     target = _randomization_target(bar_state, sender_copy, code.e_labels)
 
@@ -794,14 +796,8 @@ def evaluate_code(code: CodeSpec, rho: DensityMatrix) -> SimulationReport:
         blocks = _message_blocks(code.message_counts, code.block_sizes)
         table = code.success_table[blocks[:, :, None], blocks[:, None, :]]
         success_samples = [float(v) for v in table.sum(axis=(1, 2)) / blocks.shape[1]]
-    else:
-        success_samples = [float(np.real(np.einsum("ij,ji->", element, state.matrix)))
-                           for element, state in zip(code.decoder.elements, states)]
-    leak_samples, rand_samples = [], []
-    for state in states:
-        msg_leak = partial_trace(state, leak_labels)
-        leak_samples.append(trace_norm(msg_leak.matrix - bar_leak.matrix))
-        rand_samples.append(trace_norm(msg_leak.matrix - target.matrix))
+    leak_samples = [trace_norm(leak.matrix - bar_leak.matrix) for leak in msg_leaks]
+    rand_samples = [trace_norm(leak.matrix - target.matrix) for leak in msg_leaks]
 
     samples = {
         "success": tuple(success_samples),
@@ -818,7 +814,7 @@ def evaluate_code(code: CodeSpec, rho: DensityMatrix) -> SimulationReport:
         "message_counts": list(code.message_counts),
         "block_sizes": list(code.block_sizes),
     }
-    return SimulationReport(len(states), estimates, samples, code.master_seed, extra)
+    return SimulationReport(len(msg_leaks), estimates, samples, code.master_seed, extra)
 
 
 @dataclass(frozen=True)
@@ -943,3 +939,104 @@ def encoding_experiment(rho: DensityMatrix, senders: Sequence, n: int,
     samples_t = {name: tuple(vals) for name, vals in samples.items()}
     return SimulationReport(trials, _mean_estimates(samples_t), samples_t, master_seed,
                             {"k_sweep": list(k_sweep), "n": n, "family_kind": family})
+
+
+def _lemma_tables(seed: int, suite: int, sizes: Sequence[int], per_size: int,
+                  b: tuple[str, ...], e: tuple[str, ...]):
+    """(z, trial, chat, dhat) for z in `sizes`, trial < `per_size`: a random full-rank
+    qubit state on A1..Az, b and e from the stream (seed, suite, z, trial)."""
+    for z in sizes:
+        for trial in range(per_size):
+            senders = [f"A{i}" for i in range(1, z + 1)]
+            layout = SystemLayout(tuple((lab, 2) for lab in (*senders, *b, *e)))
+            rho = random_density(layout, layout.dim, derived_rng(seed, suite, z, trial))
+            chat, dhat, _ = regions.region_tables(rho, senders, b, e)
+            yield z, trial, chat, dhat
+
+
+def _tally(cases: int, failures: list[dict]) -> dict:
+    """A lemma suite's result: it passed when none of its cases failed."""
+    return {"passed": not failures, "cases": cases, "failures": failures}
+
+
+def _lemma_structure_suite(seed: int, sizes: Sequence[int], states_per_size: int) -> dict:
+    """Zero/nonnegative/monotone/strongly-subadditive checks for the encoding
+    table and its randomization complements on random states."""
+    cases, failures = 0, []
+    # with B empty, chat's V = B E and dhat's W = E are both V: one table
+    for z, trial, chat, dhat in _lemma_tables(seed, 1, sizes, states_per_size, (), ("V",)):
+        dcheck = regions.dcheck_from_dhat(dhat, [1.0] * z)
+        for name, table, kind in (
+                ("chat", chat, "subadditive-monotone"),
+                ("dcheck", dcheck, "subadditive-monotone"),
+                ("dhat", dhat, "superadditive")):
+            report = regions.check_set_function_properties(table, kind)
+            cases += 1
+            if not report.passed:
+                failures.append({"z": z, "trial": trial, "table": name,
+                                 "worst": report.worst_violation})
+    return _tally(cases, failures)
+
+
+def _lemma_vertices_suite(seed: int, sizes: Sequence[int], states_per_size: int) -> dict:
+    cases, failures = 0, []
+    for z, trial, chat, dhat in _lemma_tables(seed, 2, sizes, states_per_size, (), ("V",)):
+        cases += 1
+        try:
+            regions.polymatroid_vertices(chat)
+            regions.contrapolymatroid_vertices(dhat, [1.0] * z)
+        except ValueError as exc:
+            failures.append({"z": z, "trial": trial, "error": str(exc)})
+    return _tally(cases, failures)
+
+
+def _lemma_separation_suite(seed: int, sizes: Sequence[int], trials: int) -> dict:
+    cases, failures = 0, []
+    for z, trial, chat, dhat in _lemma_tables(seed, 3, sizes, trials, ("B",), ("E",)):
+        gaps = [chat.at(m) - dhat.at(m) for m in range(1, 1 << z)]
+        if min(gaps) <= 1e-6:
+            continue  # no strict interior to split in
+        rates = [0.25 * min(gaps) / z] * z
+        cases += 1
+        try:
+            c, d = regions.rate_split(rates, chat, dhat)
+            for m in range(1, 1 << z):
+                idx = [i for i in range(z) if m >> i & 1]
+                if not (math.fsum(c[i] for i in idx) < chat.at(m)
+                        and math.fsum(d[i] for i in idx) > dhat.at(m)):
+                    raise AssertionError(f"sandwich fails at mask {m}")
+                if any(c[i] != d[i] + rates[i] for i in idx):
+                    raise AssertionError("c != d + r")
+        except (ValueError, AssertionError) as exc:
+            failures.append({"z": z, "trial": trial, "error": str(exc)})
+    return _tally(cases, failures)
+
+
+def _lemma_union_bound_suite(seed: int, trials: int) -> dict:
+    dim = 8
+    failures = []
+    for trial in range(trials):
+        rng = derived_rng(seed, 4, trial)
+        lams = []
+        for _ in range(3):
+            g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+            h = g @ g.conj().T
+            lams.append(h / (np.linalg.eigvalsh(h).max() * (1 + rng.uniform(0, 1))))
+        rho = random_density(SystemLayout((("S", dim),)), dim, rng)
+        try:
+            union_bound_check(lams, rho)
+        except AssertionError as exc:
+            failures.append({"trial": trial, "error": str(exc)})
+    return _tally(trials, failures)
+
+
+def lemma_suites(seed: int, sizes: Sequence[int], states_per_size: int,
+                 union_trials: int) -> dict[str, dict]:
+    """The four `verify-lemmas` suites by report name; their spawn keys are
+    (seed, suite, z, trial) for suites 1-3 and (seed, 4, trial) for suite 4."""
+    return {
+        "set_function_structure": _lemma_structure_suite(seed, sizes, states_per_size),
+        "greedy_vertices": _lemma_vertices_suite(seed, sizes, states_per_size),
+        "rate_splitting": _lemma_separation_suite(seed, sizes, states_per_size),
+        "union_bound": _lemma_union_bound_suite(seed, union_trials),
+    }
