@@ -186,10 +186,11 @@ def cmd_simulate_code(spec: ResolvedSpec, config: dict, out_dir: Path,
 
 
 def cmd_verify_lemmas(spec: None, config: dict, out_dir: Path, seed: int) -> int:
+    counterexample = _field(config, "counterexample", bool, False)
     suites = protocols.lemma_suites(seed, _field(config, "sizes", [int], [2, 3]),
                                     _field(config, "states_per_size", int, 10),
                                     _field(config, "union_trials", int, 100))
-    if _field(config, "counterexample", bool, False):
+    if counterexample:
         # negative control: a table violating strong subadditivity must fail
         bad = regions.SetFunction(2, (0.0, 1.0, 1.0, 3.0))
         report = regions.check_set_function_properties(bad, "subadditive-monotone")

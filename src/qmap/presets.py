@@ -7,6 +7,7 @@ significant (plain Kronecker order).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import partial
 from typing import Sequence
@@ -26,15 +27,35 @@ class SpecError(ValueError):
         self.path = path
 
 
+# the JSON values a field of each basic kind accepts; a JSON boolean is no number
+_JSON_KINDS = {bool: ((bool,), "true or false"), int: ((int,), "an integer"),
+               float: ((int, float), "a finite number"), str: ((str,), "a string")}
+
+
+def _typed(value, kind):
+    """`value` as `kind`: a basic kind takes only its own JSON values, and a float
+    must be finite; any other kind is a parser called on the value."""
+    if kind not in _JSON_KINDS:
+        return kind(value)
+    types, expected = _JSON_KINDS[kind]
+    if ((isinstance(value, bool) and kind is not bool) or not isinstance(value, types)
+            or (kind is float and not math.isfinite(value))):
+        raise TypeError(f"expected {expected}")
+    return kind(value)
+
+
 def _field(obj: dict, key: str, kind, default=None, path: str = "$"):
-    """obj[key] (`default` when absent) as `kind`, or, for `kind = [type]`, a list
-    as a list of `kind[0]`; a value that does not convert is a SpecError at `path.key`."""
+    """obj[key] (`default` when absent) as `kind` (see `_typed`), or, for
+    `kind = [type]`, a list as a list of `kind[0]`; a value of the wrong kind is a
+    SpecError at `path.key`."""
     value = obj.get(key, default)
     try:
-        if isinstance(kind, list) and not isinstance(value, (list, tuple)):
+        if not isinstance(kind, list):
+            return _typed(value, kind)
+        if not isinstance(value, (list, tuple)):
             raise TypeError("expected a list")
-        return [kind[0](x) for x in value] if isinstance(kind, list) else kind(value)
-    except (TypeError, ValueError) as exc:
+        return [_typed(x, kind[0]) for x in value]
+    except (TypeError, ValueError, OverflowError) as exc:
         raise SpecError(f"invalid value {value!r}: {exc}", f"{path}.{key}") from exc
 
 
@@ -101,7 +122,7 @@ def _preset(name: str, params) -> ResolvedSpec:
         return ResolvedSpec(s, (("A1",), ("A2",)), ("B1", "B2"), ())
     if name == "ghz":
         k = field("parties", int, 3)
-        check_dim_budget(2 ** k)
+        check_dim_budget(2, k)
         labels = [f"A{i}" for i in range(1, k)] + ["B"]
         s = ghz_state(labels)
         return ResolvedSpec(s, tuple((lab,) for lab in labels[:-1]), ("B",), ())
@@ -178,7 +199,8 @@ def resolve_state_spec(obj: dict) -> ResolvedSpec:
     if "layout" not in obj or "matrix" not in obj:
         raise SpecError("spec needs either 'preset' or 'layout' + 'matrix'")
     try:
-        layout = SystemLayout(tuple((lab, int(d)) for lab, d in obj["layout"]))
+        layout = SystemLayout(tuple((_typed(lab, str), _typed(d, int))
+                                    for lab, d in obj["layout"]))
     except (TypeError, ValueError) as exc:
         raise SpecError(str(exc), "$.layout") from exc
     matrix = _parse_matrix(obj["matrix"], layout.dim)

@@ -25,12 +25,12 @@ import numpy as np
 
 from . import regions
 from .qstate import (
+    UNITARY_TOL,
     DensityMatrix,
     DimensionError,
     StateValidationError,
     SystemLayout,
     apply_local,
-    apply_unitary,
     conjugate_local,
     label_groups,
     maximally_mixed,
@@ -69,16 +69,22 @@ def budget_qubits() -> int:
         raise ValueError(f"QMAP_BUDGET_QUBITS must be an integer, got {raw!r}") from None
 
 
-def check_dim_budget(dim: int) -> None:
-    """Refuse a total dimension above 2^budget_qubits() before it is allocated."""
-    limit = 2 ** budget_qubits()
-    if dim > limit:
-        raise BudgetError(f"total dimension {dim} exceeds budget {limit}")
+def check_dim_budget(base: int, exponent: int = 1) -> None:
+    """Refuse a total dimension base^exponent above 2^budget_qubits() before it
+    is allocated. Past the budget's exponent (base >= 2 gives base^exponent >=
+    2^exponent) or a 64-bit base, the power is neither formed nor printed."""
+    qubits = budget_qubits()
+    limit = 2 ** qubits
+    small = exponent <= qubits and base < 2 ** 64
+    if base < 2 or exponent < 1 or small and base ** exponent <= limit:
+        return
+    size = f" {base ** exponent}" if small else ""
+    raise BudgetError(f"total dimension{size} exceeds budget {limit}")
 
 
 def _n_copies(rho: DensityMatrix, n: int) -> DensityMatrix:
     """rho^(x)n, after checking its dimension against the budget."""
-    check_dim_budget(rho.dim ** n)
+    check_dim_budget(rho.dim, n)
     return tensor_power(rho, n)
 
 
@@ -130,7 +136,7 @@ class UnitaryFamily:
             for u in copies:
                 if u.shape != (self.dim, self.dim):
                     raise DimensionError(f"per-copy unitary has shape {u.shape}")
-                if np.max(np.abs(u.conj().T @ u - eye)) > 1e-10:
+                if np.max(np.abs(u.conj().T @ u - eye)) > UNITARY_TOL:
                     raise StateValidationError("family member is not unitary")
 
     @property
@@ -234,9 +240,11 @@ def encode(rho_n: DensityMatrix, families: Sequence[UnitaryFamily],
     if any(len(t) != len(families) for t in k_tuples):
         raise ValueError(f"each index tuple needs {len(families)} entries")
     order = sorted(range(len(k_tuples)), key=k_tuples.__getitem__)
-    walk = _prefix_walk(rho_n, lambda z, k: families[z].block(k), groups,
-                        [k_tuples[i] for i in order], apply_unitary)
-    by_index = dict(zip(order, walk))
+    walk = _prefix_walk(rho_n.matrix, lambda z, k: families[z].block(k), groups,
+                        [k_tuples[i] for i in order],
+                        lambda m, u, on: conjugate_local(m, u, on, rho_n.layout))
+    by_index = {i: DensityMatrix(m, rho_n.layout, subnormalized=rho_n.subnormalized)
+                for i, m in zip(order, walk)}
     return [by_index[i] for i in range(len(k_tuples))]
 
 
@@ -245,7 +253,7 @@ def _mix(rho: DensityMatrix, unitaries: Sequence[np.ndarray],
     """Uniform mixture of rho conjugated by each unitary on the `on` factors."""
     acc = np.zeros_like(rho.matrix)
     for u in unitaries:
-        acc = acc + apply_unitary(rho, u, on).matrix
+        acc = acc + conjugate_local(rho.matrix, u, on, rho.layout)
     return DensityMatrix(acc / len(unitaries), rho.layout, subnormalized=rho.subnormalized)
 
 
@@ -491,7 +499,7 @@ def sequential_decoder(rho: DensityMatrix, sender_groups: Sequence[Sequence[str]
         order = list(marginal.layout.labels)
         group = list(sender_groups[z])
         fam = families[z]
-        encoded = [apply_unitary(marginal, fam.block(k), group)
+        encoded = [conjugate_local(marginal.matrix, fam.block(k), group, marginal.layout)
                    for k in range(fam.size)]
         povm = pgm_decoder(encoded, [1.0 / fam.size] * fam.size, fold_completion=True)
         ops = []
@@ -711,7 +719,7 @@ def build_qmap_code(rho: DensityMatrix, senders: Sequence, b: Sequence[str],
     for cz, dz, rz in zip(c_rates, d_rates, rates):
         if abs(cz - (dz + rz)) > 1e-9:
             raise ValueError(f"inconsistent split: C={cz} != D+R={dz + rz}")
-    check_dim_budget(rho.dim ** n)
+    check_dim_budget(rho.dim, n)
     message_counts = _counts_from_rates(n, rates)
     block_sizes = _counts_from_rates(n, d_rates)
     copy_groups = tuple(SystemLayout.copy_major(g, n) for g in groups)
@@ -835,7 +843,7 @@ def typical_projector(rho: DensityMatrix, n: int, delta: float) -> TypicalProjec
     """Projector onto product eigenvectors whose empirical surprisal is
     within delta of the entropy, with the mass/rank/operator diagnostics."""
     d = rho.dim
-    check_dim_budget(d ** n)
+    check_dim_budget(d, n)
     eig, vec = np.linalg.eigh((rho.matrix + rho.matrix.conj().T) / 2)
     eig = np.clip(eig, 0.0, None)
     s = float(-np.sum(eig[eig > 1e-12] * np.log2(eig[eig > 1e-12])))

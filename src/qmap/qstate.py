@@ -6,9 +6,12 @@ function, so everything here is safe to share across threads.
 
 Entropies are in bits throughout.
 
-Validation contract: every constructed `DensityMatrix` (and every POVM
-element in `qmap.protocols`) gets a PSD decision against its tolerance
-`tol`, made by `psd_violation`. It first tries a Cholesky factorization of
+Validation contract: a `DensityMatrix` is built, and so validated, only where
+a state enters qmap (spec parsing, public constructors) or a function returns
+one; arithmetic inside a function stays on matrices (`conjugate_local`,
+`apply_local`). Every `DensityMatrix` (and every POVM element in
+`qmap.protocols`) gets a PSD decision against its tolerance `tol`, made by
+`psd_violation`. It first tries a Cholesky factorization of
 h + (tol/2) I. A factorization that runs to completion is exact for a
 perturbed matrix h + (tol/2) I + E with ||E||_2 <= (d+1) eps tr(h + (tol/2) I)
 (the componentwise backward-error bound, summed through Cauchy-Schwarz on
@@ -368,19 +371,12 @@ def partial_trace(s: DensityMatrix, keep: Iterable[str]) -> DensityMatrix:
     return DensityMatrix(t.reshape(d, d), layout, subnormalized=s.subnormalized)
 
 
-def _clipped_eigenvalues(s: DensityMatrix) -> np.ndarray:
-    m = (s.matrix + s.matrix.conj().T) / 2
-    eig = np.linalg.eigvalsh(m)
-    if np.min(eig) < -PSD_TOL:
-        raise StateValidationError(f"non-PSD beyond tolerance: min eigenvalue {np.min(eig)}")
-    return np.clip(eig, 0.0, None)
-
-
 def entropy(s: DensityMatrix) -> float:
     """von Neumann entropy in bits."""
     if s.subnormalized:
         raise StateValidationError("entropy of a subnormalized state is undefined here")
-    eig = _clipped_eigenvalues(s)
+    # the constructor certified PSD; eigenvalues <= EIG_ZERO_TOL add nothing
+    eig = np.linalg.eigvalsh((s.matrix + s.matrix.conj().T) / 2)
     eig = eig[eig > EIG_ZERO_TOL]
     return float(-np.sum(eig * np.log2(eig)))
 

@@ -391,6 +391,8 @@ def membership(region: RateRegion, r: Sequence[float], slack: float) -> Membersh
     r = [float(x) for x in r]
     if len(r) != region.z_count:
         raise ValueError(f"rate tuple has {len(r)} entries, region has {region.z_count}")
+    if not all(map(math.isfinite, [*r, slack])):
+        raise ValueError(f"rates {r} and slack {slack} must be finite")
     worst_margin = math.inf
     worst_subset: tuple[int, ...] = ()
     for mask in range(1, 1 << region.z_count):
