@@ -671,7 +671,7 @@ class CodeSpec:
 
     @property
     def message_space(self) -> int:
-        return int(np.prod(self.message_counts, dtype=object))
+        return math.prod(self.message_counts)
 
 
 def _counts_from_rates(n: int, rates: Sequence[float]) -> list[int]:

@@ -2,7 +2,10 @@
 
 States, unitaries, partial traces, entropic quantities and trace norms.
 All values are immutable after construction and every operation is a pure
-function, so everything here is safe to share across threads.
+function, so everything here is safe to share across threads. A
+`SystemLayout` caches its metadata (labels, dims, dim, label positions) and
+one contraction plan per `on` tuple; each is a deterministic function of
+`factors`, so two threads that fill the same entry store equal values.
 
 Entropies are in bits throughout.
 
@@ -31,8 +34,10 @@ the full operator and is kept as the plain reference.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from functools import cached_property
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -55,14 +60,48 @@ class StateValidationError(ValueError):
     """Matrix fails the density-matrix (or unitary) invariants."""
 
 
+def _label_tuple(labels: str | Iterable[str]) -> tuple[str, ...]:
+    """The labels as a tuple; a bare string is one label, not its characters."""
+    return (labels,) if isinstance(labels, str) else tuple(labels)
+
+
+def _factor_dim(d) -> int:
+    """A factor dimension as an int: integers (numpy's too) only, never a bool."""
+    if isinstance(d, bool):
+        raise DimensionError(f"factor dimension must be an integer, got {d!r}")
+    try:
+        return operator.index(d)
+    except TypeError:
+        raise DimensionError(f"factor dimension must be an integer, got {d!r}") from None
+
+
+class _Plan(NamedTuple):
+    """How `_contract_local` moves the `on` factors of a layout to the front:
+    axis permutations for a (d, cols) matrix (`rows`) and a (d, d) one
+    (`both`), each followed by its inverse."""
+
+    d_on: int
+    d_rest: int
+    moved: tuple[int, ...]
+    rows: tuple[int, ...]
+    rows_back: tuple[int, ...]
+    both: tuple[int, ...]
+    both_back: tuple[int, ...]
+
+
 @dataclass(frozen=True)
 class SystemLayout:
-    """Ordered, labeled tensor factorization of a Hilbert space."""
+    """Ordered, labeled tensor factorization of a Hilbert space.
+
+    Everything derived from `factors` (labels, dims, dim, label positions,
+    contraction plans) is computed on first use and kept on the instance;
+    `==`, `hash` and `repr` see only `factors`.
+    """
 
     factors: tuple[tuple[str, int], ...]
 
     def __post_init__(self):
-        factors = tuple((str(lab), int(d)) for lab, d in self.factors)
+        factors = tuple((str(lab), _factor_dim(d)) for lab, d in self.factors)
         object.__setattr__(self, "factors", factors)
         labels = [lab for lab, _ in factors]
         if len(set(labels)) != len(labels):
@@ -70,33 +109,62 @@ class SystemLayout:
         if any(d < 1 for _, d in factors):
             raise DimensionError("all factor dimensions must be >= 1")
 
-    @property
+    @cached_property
     def labels(self) -> tuple[str, ...]:
         return tuple(lab for lab, _ in self.factors)
 
-    @property
+    @cached_property
     def dims(self) -> tuple[int, ...]:
         return tuple(d for _, d in self.factors)
 
-    @property
+    @cached_property
     def dim(self) -> int:
-        return int(np.prod(self.dims, dtype=object))
+        return math.prod(self.dims)
 
-    def dim_of(self, labels: Iterable[str]) -> int:
-        wanted = set(labels)
+    @cached_property
+    def _positions(self) -> dict[str, int]:
+        return {lab: i for i, lab in enumerate(self.labels)}
+
+    @cached_property
+    def _plans(self) -> dict[tuple[str, ...], _Plan]:
+        return {}
+
+    def dim_of(self, labels: str | Iterable[str]) -> int:
+        wanted = set(_label_tuple(labels))
         self._check_known(wanted)
-        return int(np.prod([d for lab, d in self.factors if lab in wanted], dtype=object))
+        return math.prod(self.dims[self._positions[lab]] for lab in wanted)
 
     def index(self, label: str) -> int:
-        for i, (lab, _) in enumerate(self.factors):
-            if lab == label:
-                return i
-        raise LabelError(f"unknown label {label!r}; layout has {self.labels}")
+        try:
+            return self._positions[label]
+        except KeyError:
+            raise LabelError(f"unknown label {label!r}; layout has {self.labels}") from None
 
-    def _check_known(self, labels: Iterable[str]) -> None:
-        unknown = set(labels) - set(self.labels)
+    def _check_known(self, labels: str | Iterable[str]) -> None:
+        unknown = {lab for lab in _label_tuple(labels) if lab not in self._positions}
         if unknown:
             raise LabelError(f"unknown labels {sorted(unknown)}; layout has {self.labels}")
+
+    def _plan(self, on: str | Iterable[str]) -> _Plan:
+        """The contraction plan for an operator on the `on` factors, in that
+        order. The label checks run when the plan is built, and a plan that
+        fails them is never stored."""
+        on = _label_tuple(on)
+        plan = self._plans.get(on)
+        if plan is None:
+            self._check_known(on)
+            if len(set(on)) != len(on):
+                raise LabelError(f"repeated labels {list(on)}")
+            k = len(self.factors)
+            front = [self._positions[lab] for lab in on]
+            perm = tuple(front + [i for i in range(k) if i not in front])
+            inverse = tuple(sorted(range(k), key=perm.__getitem__))
+            moved = tuple(self.dims[i] for i in perm)
+            d_on = math.prod(moved[:len(on)])
+            plan = self._plans[on] = _Plan(
+                d_on, self.dim // d_on, moved, perm + (k,), inverse + (k,),
+                perm + tuple(k + i for i in perm), inverse + tuple(k + i for i in inverse))
+        return plan
 
     def power(self, n: int) -> "SystemLayout":
         """Layout of the n-copy space, copy-major: (A,B)^2 -> A_1 B_1 A_2 B_2."""
@@ -118,7 +186,7 @@ class SystemLayout:
 
 def label_groups(entries: Iterable) -> list[tuple[str, ...]]:
     """One label tuple per entry; a bare string is a one-label group."""
-    return [(e,) if isinstance(e, str) else tuple(e) for e in entries]
+    return [_label_tuple(e) for e in entries]
 
 
 def _as_square_complex(matrix) -> np.ndarray:
@@ -258,6 +326,7 @@ def _basis_permutation(layout: SystemLayout, new_order: Sequence[str]) -> np.nda
 
 def permute_factors(s: DensityMatrix, new_order: Sequence[str]) -> DensityMatrix:
     """Same state on the layout with factors reordered as `new_order`."""
+    new_order = _label_tuple(new_order)
     idx = _basis_permutation(s.layout, new_order)
     layout = SystemLayout(tuple(
         (lab, s.layout.dims[s.layout.index(lab)]) for lab in new_order))
@@ -272,6 +341,7 @@ def embed_operator(op, op_labels: Sequence[str], layout: SystemLayout) -> np.nda
     the result acts on the full layout in its own factor order.
     """
     op = _as_square_complex(op)
+    op_labels = _label_tuple(op_labels)
     layout._check_known(op_labels)
     if len(set(op_labels)) != len(op_labels):
         raise LabelError(f"repeated labels {list(op_labels)}")
@@ -287,7 +357,7 @@ def embed_operator(op, op_labels: Sequence[str], layout: SystemLayout) -> np.nda
     return full
 
 
-def _contract_local(m: np.ndarray, op, on: Sequence[str], layout: SystemLayout,
+def _contract_local(m: np.ndarray, op, on: str | Sequence[str], layout: SystemLayout,
                     conjugate: bool) -> np.ndarray:
     """(O x I) m, or (O x I) m (O x I)^dag when `conjugate`, for an operator O
     on the `on` factors (in that order), contracting only the acted-on axes.
@@ -297,28 +367,19 @@ def _contract_local(m: np.ndarray, op, on: Sequence[str], layout: SystemLayout,
     columns, and the factors are moved back. No layout-sized operator is built.
     """
     op = _as_square_complex(op)
-    layout._check_known(on)
-    if len(set(on)) != len(on):
-        raise LabelError(f"repeated labels {list(on)}")
-    d_on = layout.dim_of(on)
-    if op.shape[0] != d_on:
-        raise DimensionError(f"operator dim {op.shape[0]} != selected dim {d_on}")
-    dims = layout.dims
-    k = len(dims)
-    front = [layout.index(lab) for lab in on]
-    perm = front + [i for i in range(k) if i not in front]
-    inverse = list(np.argsort(perm))
-    moved = [dims[i] for i in perm]
-    d, d_rest = layout.dim, layout.dim // d_on
+    plan = layout._plan(on)
+    if op.shape[0] != plan.d_on:
+        raise DimensionError(f"operator dim {op.shape[0]} != selected dim {plan.d_on}")
+    dims, d = layout.dims, layout.dim
     if conjugate:
-        t = m.reshape(dims + dims).transpose(perm + [k + i for i in perm])
-        t = (op @ t.reshape(d_on, -1)).reshape(d_on * d_rest, d_on, d_rest)
-        t = np.matmul(op.conj(), t).reshape(moved + moved)
-        return t.transpose(inverse + [k + i for i in inverse]).reshape(d, d)
+        t = m.reshape(dims + dims).transpose(plan.both)
+        t = (op @ t.reshape(plan.d_on, -1)).reshape(d, plan.d_on, plan.d_rest)
+        t = np.matmul(op.conj(), t).reshape(plan.moved * 2)
+        return t.transpose(plan.both_back).reshape(d, d)
     cols = m.shape[1]
-    t = m.reshape(dims + (cols,)).transpose(perm + [k])
-    t = (op @ t.reshape(d_on, -1)).reshape(moved + [cols])
-    return t.transpose(inverse + [k]).reshape(d, cols)
+    t = m.reshape(dims + (cols,)).transpose(plan.rows)
+    t = (op @ t.reshape(plan.d_on, -1)).reshape(plan.moved + (cols,))
+    return t.transpose(plan.rows_back).reshape(d, cols)
 
 
 def apply_local(m, op, on: Sequence[str], layout: SystemLayout) -> np.ndarray:
@@ -349,9 +410,9 @@ def apply_unitary(s: DensityMatrix, u, on: Sequence[str]) -> DensityMatrix:
                          subnormalized=s.subnormalized)
 
 
-def partial_trace(s: DensityMatrix, keep: Iterable[str]) -> DensityMatrix:
+def partial_trace(s: DensityMatrix, keep: str | Iterable[str]) -> DensityMatrix:
     """Reduced state on the kept factors, original factor order preserved."""
-    keep = set(keep)
+    keep = set(_label_tuple(keep))
     s.layout._check_known(keep)
     factors = s.layout.factors
     dims = s.layout.dims
@@ -365,7 +426,7 @@ def partial_trace(s: DensityMatrix, keep: Iterable[str]) -> DensityMatrix:
             t = np.trace(t, axis1=pos, axis2=pos + len(remaining))
             remaining.pop(pos)
     kept_factors = tuple(f for f in factors if f[0] in keep)
-    d = int(np.prod([d for _, d in kept_factors], dtype=object)) if kept_factors else 1
+    d = math.prod(dim for _, dim in kept_factors)
     layout = SystemLayout(kept_factors) if kept_factors else SystemLayout(
         (("_trivial", 1),))
     return DensityMatrix(t.reshape(d, d), layout, subnormalized=s.subnormalized)
@@ -383,7 +444,7 @@ def entropy(s: DensityMatrix) -> float:
 
 def conditional_entropy(s: DensityMatrix, a: Iterable[str], b: Iterable[str]) -> float:
     """S(A|B) = S(AB) - S(B) in bits."""
-    a, b = set(a), set(b)
+    a, b = set(_label_tuple(a)), set(_label_tuple(b))
     if a & b:
         raise LabelError(f"overlapping label sets: {sorted(a & b)}")
     s_ab = entropy(partial_trace(s, a | b))
@@ -393,7 +454,7 @@ def conditional_entropy(s: DensityMatrix, a: Iterable[str], b: Iterable[str]) ->
 
 def mutual_information(s: DensityMatrix, a: Iterable[str], b: Iterable[str]) -> float:
     """I(A:B) = S(A) - S(A|B) in bits."""
-    a, b = set(a), set(b)
+    a, b = set(_label_tuple(a)), set(_label_tuple(b))
     if a & b:
         raise LabelError(f"overlapping label sets: {sorted(a & b)}")
     return entropy(partial_trace(s, a)) - conditional_entropy(s, a, b)
@@ -402,7 +463,7 @@ def mutual_information(s: DensityMatrix, a: Iterable[str], b: Iterable[str]) -> 
 def conditional_mutual_information(s: DensityMatrix, a: Iterable[str],
                                    b: Iterable[str], c: Iterable[str]) -> float:
     """I(A:B|C) = S(A|C) - S(A|BC) in bits."""
-    a, b, c = set(a), set(b), set(c)
+    a, b, c = (set(_label_tuple(x)) for x in (a, b, c))
     for x, y in ((a, b), (a, c), (b, c)):
         if x & y:
             raise LabelError(f"overlapping label sets: {sorted(x & y)}")
