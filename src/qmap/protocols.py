@@ -53,7 +53,7 @@ PINV_CUTOFF = 1e-10
 RANK_CUTOFF = 1e-12
 DEFAULT_BUDGET_QUBITS = 12
 MAX_BUDGET_QUBITS = 14
-MAX_MESSAGES = 4096  # largest message space evaluate_code enumerates
+MAX_MESSAGES = 4096  # largest message space a code may have
 
 
 class BudgetError(ValueError):
@@ -80,6 +80,17 @@ def check_dim_budget(base: int, exponent: int = 1) -> None:
         return
     size = f" {base ** exponent}" if small else ""
     raise BudgetError(f"total dimension{size} exceeds budget {limit}")
+
+
+def check_message_space(bits: Sequence[float]) -> None:
+    """Refuse a code with more than MAX_MESSAGES messages, given the log2 of
+    each sender's message count, so a count 2^ceil(n R) is never formed only
+    to be refused. Past 64 bits the space is not printed."""
+    total = math.fsum(bits)
+    if total <= math.log2(MAX_MESSAGES):
+        return
+    size = f" {math.prod(round(2 ** b) for b in bits)}" if total <= 64 else ""
+    raise BudgetError(f"message space{size} exceeds budget {MAX_MESSAGES}")
 
 
 def _n_copies(rho: DensityMatrix, n: int) -> DensityMatrix:
@@ -674,13 +685,14 @@ class CodeSpec:
         return math.prod(self.message_counts)
 
 
-def _counts_from_rates(n: int, rates: Sequence[float]) -> list[int]:
-    counts = []
+def _rate_bits(n: int, rates: Sequence[float]) -> list[int]:
+    """ceil(n R) for each rate R: the log2 of its count 2^ceil(n R)."""
+    bits = []
     for r in rates:
         if r < -1e-12:
             raise ValueError(f"negative rate {r}")
-        counts.append(max(1, 2 ** math.ceil(n * r - 1e-9)))
-    return counts
+        bits.append(max(0, math.ceil(n * r - 1e-9)))
+    return bits
 
 
 def _message_blocks(message_counts: Sequence[int], block_sizes: Sequence[int]
@@ -720,8 +732,10 @@ def build_qmap_code(rho: DensityMatrix, senders: Sequence, b: Sequence[str],
         if abs(cz - (dz + rz)) > 1e-9:
             raise ValueError(f"inconsistent split: C={cz} != D+R={dz + rz}")
     check_dim_budget(rho.dim, n)
-    message_counts = _counts_from_rates(n, rates)
-    block_sizes = _counts_from_rates(n, d_rates)
+    message_bits = _rate_bits(n, rates)
+    check_message_space(message_bits)
+    message_counts = [2 ** b for b in message_bits]
+    block_sizes = [2 ** b for b in _rate_bits(n, d_rates)]
     copy_groups = tuple(SystemLayout.copy_major(g, n) for g in groups)
     b_copies = SystemLayout.copy_major(b, n)
     e_copies = SystemLayout.copy_major(e, n)
@@ -773,18 +787,30 @@ def evaluate_code(code: CodeSpec, rho: DensityMatrix) -> SimulationReport:
     space (at most MAX_MESSAGES messages, else BudgetError).
 
     Each message's state mixes each sender's block of family unitaries in
-    turn. Decoding success is read from the code's `success_table` when it
-    has one, else from its decoder's elements. Reports per-message success
-    and leakage samples, the decoding error epsilon = 1 - mean success, the leakage theta (mean full trace norm to
+    turn, on one of two base states. Leakage and randomization distance
+    depend only on the senders-plus-eavesdropper marginal, and the sender
+    unitaries commute with the trace over B, so a code with a
+    `success_table` mixes on that marginal's n-th tensor power and forms
+    nothing of dimension d^n. A code without one (sequential codes, and
+    mixed states with large ensembles) mixes on rho^(x)n, because its
+    decoder's elements need the full message states. The d^n budget is
+    still checked up front either way: two-bell (d = 16) with a table runs
+    at n = 3 on 64-dim message states, and n = 4 is refused.
+
+    Reports per-message success and leakage samples, the decoding error
+    epsilon = 1 - mean success, the leakage theta (mean full trace norm to
     the average encoded state on the senders-plus-eavesdropper marginal),
     and the randomization distance of the average state.
     """
-    if code.message_space > MAX_MESSAGES:
-        raise BudgetError(
-            f"message space {code.message_space} exceeds budget {MAX_MESSAGES}")
-    rho_n = _n_copies(rho, code.n)
+    check_message_space([math.log2(m) for m in code.message_counts])
+    check_dim_budget(rho.dim, code.n)
     sender_copy = [lab for g in code.sender_groups for lab in g]
     leak_labels = set(sender_copy) | set(code.e_labels)
+    base = rho
+    if code.success_table is not None:
+        base = partial_trace(rho, [lab for lab in rho.layout.labels
+                                   if SystemLayout.copy_labels(lab, 1)[0] in leak_labels])
+    rho_n = tensor_power(base, code.n)
 
     # summed from 0, as sum() does, so the average keeps its values and zero signs
     total, msg_leaks, success_samples = 0, [], []

@@ -1,10 +1,10 @@
 """One path per protocol operation, checked against plain references.
 
 The references are the direct forms: the explicit sum over all 2^Z outcome
-patterns of the gentle chain, and a message state as the mean of `encode`
-over its block tuples. Also covered: a budget is checked before anything is
-allocated, and the CLI fixes that ride along (an empty W, distinct
-`k_sweep` sizes, the `verify-lemmas` seed).
+patterns of the gentle chain, and a message state as the senders+E marginal
+of the mean of `encode` over its block tuples. Also covered: a budget is
+checked before anything is allocated, and the CLI fixes that ride along (an
+empty W, distinct `k_sweep` sizes, the `verify-lemmas` seed).
 """
 
 import json
@@ -35,6 +35,7 @@ from qmap.protocols import (
     union_bound_check,
 )
 from qmap.qstate import (
+    DensityMatrix,
     SystemLayout,
     apply_local,
     apply_unitary,
@@ -140,12 +141,16 @@ def test_evaluate_code_message_states_match_encode_mean(family, monkeypatch):
     report = evaluate_code(code, spec.state)
     states = mixes[code.z_count - 1::code.z_count]  # the last sender's mix per message
     rho_n = tensor_power(spec.state, code.n)
+    # a table code mixes on the senders+E marginal, the only part leakage reads
+    leak_labels = {lab for g in code.sender_groups for lab in g} | set(code.e_labels)
     for idx, m_tuple in enumerate(product(*[range(m) for m in code.message_counts])):
         k_tuples = [[m * l_z + l for m, l_z, l in zip(m_tuple, code.block_sizes, l_tuple)]
                     for l_tuple in product(*[range(l) for l in code.block_sizes])]
         encoded = encode(rho_n, code.families, code.sender_groups, k_tuples)
         want = sum(s.matrix for s in encoded) / len(encoded)
-        assert np.max(np.abs(states[idx].matrix - want)) < 1e-12
+        marginal = partial_trace(DensityMatrix(want, rho_n.layout), leak_labels)
+        assert states[idx].layout == marginal.layout
+        assert np.max(np.abs(states[idx].matrix - marginal.matrix)) < 1e-12
         success = float(np.real(np.trace(code.decoder.elements[idx] @ want)))
         assert abs(report.samples["success"][idx] - success) < 1e-12
     assert len(states) == report.trials == code.message_space
