@@ -268,17 +268,14 @@ def _mix(rho: DensityMatrix, unitaries: Sequence[np.ndarray],
     return DensityMatrix(acc / len(unitaries), rho.layout, subnormalized=rho.subnormalized)
 
 
-def _randomization_target(rho: DensityMatrix, senders: Sequence[str],
-                          w: Sequence[str]) -> DensityMatrix:
-    """(maximally mixed on the `senders` factors) x (rho's marginal on `w`),
-    with its factors in rho's layout order."""
-    layout = rho.layout
+def _randomization_target(rho: DensityMatrix, senders: Sequence[str]) -> DensityMatrix:
+    """rho with its `senders` factors replaced by the maximally mixed state."""
+    rest = [lab for lab in rho.layout.labels if lab not in senders]
     target = maximally_mixed(SystemLayout(tuple(
-        (lab, layout.dims[layout.index(lab)]) for lab in senders)))
-    if w:
-        target = tensor(target, partial_trace(rho, w))
-    keep = set(senders) | set(w)
-    return permute_factors(target, [lab for lab in layout.labels if lab in keep])
+        f for f in rho.layout.factors if f[0] in senders)))
+    if rest:
+        target = tensor(target, partial_trace(rho, rest))
+    return permute_factors(target, rho.layout.labels)
 
 
 def randomize(rho_n: DensityMatrix, sender_groups: Sequence[Sequence[str]],
@@ -296,10 +293,9 @@ def randomize(rho_n: DensityMatrix, sender_groups: Sequence[Sequence[str]],
                 f"family dim {fam.dim}^{fam.n} does not match group {tuple(group)}")
         out = _mix(out, [fam.block(k) for k in range(fam.size)], list(group))
     all_sender = [lab for g in sender_groups for lab in g]
-    target = _randomization_target(rho_n, all_sender, w_labels)
-    reduced = partial_trace(out, set(all_sender) | set(w_labels))
-    distance = trace_norm(reduced.matrix - target.matrix)
-    return out, float(distance)
+    keep = set(all_sender) | set(w_labels)
+    target = _randomization_target(partial_trace(rho_n, keep), all_sender)
+    return out, trace_norm(partial_trace(out, keep).matrix - target.matrix)
 
 
 @dataclass(frozen=True)
@@ -716,7 +712,9 @@ def build_qmap_code(rho: DensityMatrix, senders: Sequence, b: Sequence[str],
     Message and block counts are 2^ceil(n R_z) and 2^ceil(n D_z); each
     message's encoding is the uniform mixture of its block of family
     unitaries, and the decoder coarse-grains the index-level decoder over
-    blocks. The split must satisfy C_z = D_z + R_z within 1e-9.
+    blocks. The split must satisfy C_z = D_z + R_z within 1e-9. Before any
+    family is drawn, the message space is bounded, and so is the index space
+    (messages times blocks, which sizes every decoder) by 2^budget_qubits().
 
     The decoder is built on the first access of `code.decoder`. A PGM code
     with N index tuples on a state of rank r also carries the table of
@@ -734,8 +732,12 @@ def build_qmap_code(rho: DensityMatrix, senders: Sequence, b: Sequence[str],
     check_dim_budget(rho.dim, n)
     message_bits = _rate_bits(n, rates)
     check_message_space(message_bits)
+    block_bits = _rate_bits(n, d_rates)
+    qubits, bits = budget_qubits(), sum(message_bits) + sum(block_bits)
+    if bits > qubits:
+        raise BudgetError(f"index space 2^{bits} exceeds budget {2 ** qubits}")
     message_counts = [2 ** b for b in message_bits]
-    block_sizes = [2 ** b for b in _rate_bits(n, d_rates)]
+    block_sizes = [2 ** b for b in block_bits]
     copy_groups = tuple(SystemLayout.copy_major(g, n) for g in groups)
     b_copies = SystemLayout.copy_major(b, n)
     e_copies = SystemLayout.copy_major(e, n)
@@ -786,21 +788,19 @@ def evaluate_code(code: CodeSpec, rho: DensityMatrix) -> SimulationReport:
     """Decoding error and leakage of a code, exactly over its whole message
     space (at most MAX_MESSAGES messages, else BudgetError).
 
-    Each message's state mixes each sender's block of family unitaries in
-    turn, on one of two base states. Leakage and randomization distance
-    depend only on the senders-plus-eavesdropper marginal, and the sender
-    unitaries commute with the trace over B, so a code with a
-    `success_table` mixes on that marginal's n-th tensor power and forms
-    nothing of dimension d^n. A code without one (sequential codes, and
+    Leakage and randomization distance read only the senders-plus-
+    eavesdropper marginal of each message, and the sender unitaries commute
+    with the trace over B. So only those marginals are kept: their mean is
+    theta's average state, and the randomization target is that mean with
+    its sender factors maximally mixed. A code with a `success_table` even
+    mixes its messages on the marginal's n-th tensor power, so two-bell runs
+    at n = 3 on 64-dim states. A code without one (sequential codes, and
     mixed states with large ensembles) mixes on rho^(x)n, because its
     decoder's elements need the full message states. The d^n budget is
-    still checked up front either way: two-bell (d = 16) with a table runs
-    at n = 3 on 64-dim message states, and n = 4 is refused.
+    checked up front either way, so n = 4 is refused.
 
-    Reports per-message success and leakage samples, the decoding error
-    epsilon = 1 - mean success, the leakage theta (mean full trace norm to
-    the average encoded state on the senders-plus-eavesdropper marginal),
-    and the randomization distance of the average state.
+    Reports per-message success, leakage and randomization-distance
+    samples, epsilon = 1 - mean success and theta = mean leakage.
     """
     check_message_space([math.log2(m) for m in code.message_counts])
     check_dim_budget(rho.dim, code.n)
@@ -815,14 +815,13 @@ def evaluate_code(code: CodeSpec, rho: DensityMatrix) -> SimulationReport:
     # summed from 0, as sum() does, so the average keeps its values and zero signs
     total, msg_leaks, success_samples = 0, [], []
     for idx, state in enumerate(_message_states(code, rho_n)):
-        total = total + state.matrix
         msg_leaks.append(partial_trace(state, leak_labels))
+        total = total + msg_leaks[-1].matrix
         if code.success_table is None:
             success_samples.append(float(np.real(np.einsum(
                 "ij,ji->", code.decoder.elements[idx], state.matrix))))
-    bar_state = DensityMatrix(total / len(msg_leaks), rho_n.layout)
-    bar_leak = partial_trace(bar_state, leak_labels)
-    target = _randomization_target(bar_state, sender_copy, code.e_labels)
+    bar_leak = DensityMatrix(total / len(msg_leaks), msg_leaks[0].layout)
+    target = _randomization_target(bar_leak, sender_copy)
 
     if code.success_table is not None:
         # Tr[(sum_l' E_k(m,l')) mean_l rho_k(m,l)]: sum over the decoded
@@ -906,37 +905,37 @@ def chained_randomization_experiment(rho: DensityMatrix, senders: Sequence,
                                      ) -> SimulationReport:
     """Randomize each sender in sequence over `trials` independent family
     draws; reports per-stage and total distances and asserts the triangle
-    chain total <= sum of stages."""
+    chain total <= sum of stages. Stage z mixes sender z on the n-copy
+    marginal of senders z..Z and W, and the total mixes senders 2..Z onto
+    stage 1's state, so the budget bounds (senders + W)^(x)n, not rho^(x)n."""
     _check_trials(trials)
     groups = label_groups(senders)
     z_count = len(groups)
     if len(block_sizes) != z_count:
         raise ValueError("one block size per sender required")
-    rho_n = _n_copies(rho, n)
     copy_groups = [SystemLayout.copy_major(g, n) for g in groups]
-    w_copies = list(SystemLayout.copy_major(w_labels, n))
 
-    # stage z randomizes sender z on the n-copy marginal of senders z..Z and W
     stages = []
     for z, group in enumerate(copy_groups):
         suffix = [lab for g in groups[z:] for lab in g] + list(w_labels)
         marg_n = _n_copies(partial_trace(rho, suffix), n)
-        rest = [lab for lab in marg_n.layout.labels if lab not in group]
-        stages.append((group, marg_n, _randomization_target(marg_n, group, rest)))
+        stages.append((group, marg_n, _randomization_target(marg_n, group)))
+    total_target = _randomization_target(stages[0][1], sum(copy_groups, ()))
 
-    samples: dict[str, list[float]] = {"total_distance": []}
-    for z in range(1, z_count + 1):
-        samples[f"stage_{z}_distance"] = []
+    samples: dict[str, list[float]] = {
+        "total_distance": [], **{f"stage_{z}_distance": [] for z in range(1, z_count + 1)}}
     for t in range(trials):
         families = [make_family(family, z, n, rho.layout.dim_of(g), l, master_seed, (t, z))
                     for z, (g, l) in enumerate(zip(groups, block_sizes), start=1)]
         stage_total = 0.0
         for z, (fam, (group, marg_n, target)) in enumerate(zip(families, stages), start=1):
-            randomized = _mix(marg_n, [fam.block(k) for k in range(fam.size)], group)
+            unitaries = [fam.block(k) for k in range(fam.size)]
+            randomized = _mix(marg_n, unitaries, group)
             dist = trace_norm(randomized.matrix - target.matrix)
             samples[f"stage_{z}_distance"].append(dist)
             stage_total += dist
-        _, total = randomize(rho_n, copy_groups, w_copies, families)
+            chain = randomized if z == 1 else _mix(chain, unitaries, group)
+        total = trace_norm(chain.matrix - total_target.matrix)
         if total > stage_total + 1e-9:
             raise AssertionError(
                 f"triangle chain violated: total {total} > stage sum {stage_total}")

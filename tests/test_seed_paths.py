@@ -64,9 +64,17 @@ def test_simulate_encoding_prefix_is_size_trial_sender(tmp_path, monkeypatch):
 
 
 def test_simulate_randomization_prefix_is_trial_sender(tmp_path, monkeypatch):
-    calls = record_families(monkeypatch, "randomize", 3)
+    drawn = []
+    inner = protocols.make_family
+
+    def recording(*args, **kwargs):
+        drawn.append(inner(*args, **kwargs))
+        return drawn[-1]
+
+    monkeypatch.setattr(protocols, "make_family", recording)
     run_cli(tmp_path, "simulate-randomization",
             {"n": 2, "block_sizes": [2, 3], "trials": 3})
+    calls = [drawn[i:i + 2] for i in range(0, len(drawn), 2)]  # two senders per trial
     assert len(calls) == 3
     for t, families in enumerate(calls):
         assert [f.size for f in families] == [2, 3]
