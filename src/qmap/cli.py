@@ -17,7 +17,6 @@ from pathlib import Path
 from . import protocols, regions
 from .presets import ResolvedSpec, SpecError, _field, resolve_state_spec
 from .protocols import BudgetError, budget_qubits  # noqa: F401 (public via qmap.cli)
-from .protocols import _lemma_structure_suite, _lemma_vertices_suite  # noqa: F401
 from .qstate import StateValidationError
 
 EXIT_OK = 0

@@ -93,6 +93,16 @@ def check_message_space(bits: Sequence[float]) -> None:
     raise BudgetError(f"message space{size} exceeds budget {MAX_MESSAGES}")
 
 
+def _check_index_space(bits: float) -> None:
+    """Refuse more than 2^budget_qubits() index tuples, given the log2 of
+    their count, before any family is drawn: every decoder holds data per
+    tuple. The count itself is never formed."""
+    qubits = budget_qubits()
+    if bits > qubits:
+        shown = int(bits) if bits == int(bits) else f"{bits:g}"
+        raise BudgetError(f"index space 2^{shown} exceeds budget {2 ** qubits}")
+
+
 def _n_copies(rho: DensityMatrix, n: int) -> DensityMatrix:
     """rho^(x)n, after checking its dimension against the budget."""
     check_dim_budget(rho.dim, n)
@@ -163,13 +173,14 @@ class UnitaryFamily:
 
 
 def make_family(kind: str, z: int, n: int, d: int, size: int, master_seed: int,
-                prefix: Sequence[int] = ()) -> UnitaryFamily:
+                prefix: Sequence[int]) -> UnitaryFamily:
     """Sender z's family of `size` tensor-product unitaries on n copies of a
     d-dim system: "haar", "pauli" (`pauli_family`) or "identity".
 
     For "haar", factor (k, i) is drawn from derived_rng(master_seed, *prefix,
-    k, i) and the family records seed=(master_seed, *prefix), so each
-    caller's prefix fixes its seed path.
+    k, i) and the family records seed=(master_seed, *prefix). Every caller
+    passes its own prefix, which fixes its seed path; "pauli" and "identity"
+    ignore it.
     """
     if kind == "pauli":
         return pauli_family(z, n, d, size=size)
@@ -254,8 +265,7 @@ def encode(rho_n: DensityMatrix, families: Sequence[UnitaryFamily],
     walk = _prefix_walk(rho_n.matrix, lambda z, k: families[z].block(k), groups,
                         [k_tuples[i] for i in order],
                         lambda m, u, on: conjugate_local(m, u, on, rho_n.layout))
-    by_index = {i: DensityMatrix(m, rho_n.layout, subnormalized=rho_n.subnormalized)
-                for i, m in zip(order, walk)}
+    by_index = {i: DensityMatrix(m, rho_n.layout) for i, m in zip(order, walk)}
     return [by_index[i] for i in range(len(k_tuples))]
 
 
@@ -265,7 +275,7 @@ def _mix(rho: DensityMatrix, unitaries: Sequence[np.ndarray],
     acc = np.zeros_like(rho.matrix)
     for u in unitaries:
         acc = acc + conjugate_local(rho.matrix, u, on, rho.layout)
-    return DensityMatrix(acc / len(unitaries), rho.layout, subnormalized=rho.subnormalized)
+    return DensityMatrix(acc / len(unitaries), rho.layout)
 
 
 def _randomization_target(rho: DensityMatrix, senders: Sequence[str]) -> DensityMatrix:
@@ -478,6 +488,24 @@ def pgm_success_table(factor: np.ndarray, layout: SystemLayout,
     return table
 
 
+def _kraus_pair(root: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A gentle stage's Kraus pair (L, sqrt(L) sqrt(I - L)), from sqrt(L)."""
+    square = root @ root
+    return square, root @ _psd_power(np.eye(square.shape[0]) - square, 0.5)
+
+
+def _outcome_pattern_sum(stages: Sequence[tuple[Sequence[str], tuple[np.ndarray, ...]]],
+                         layout: SystemLayout) -> np.ndarray:
+    """sum over outcome patterns b of C_b^dag C_b, C_b = O_Z^{b_Z} ... O_1^{b_1},
+    where stage z is (labels, Kraus pair) and its operators act on those
+    factors of `layout`. Nested from stage Z inward, M <- sum_b (O_z^b)^dag M
+    O_z^b, so Z stages cost 2Z conjugations, not 2^Z products."""
+    lam = np.eye(layout.dim, dtype=complex)
+    for on, pair in reversed(stages):
+        lam = sum(conjugate_local(lam, op.conj().T, on, layout) for op in pair)
+    return lam
+
+
 def sequential_decoder(rho: DensityMatrix, sender_groups: Sequence[Sequence[str]],
                        v_labels: Sequence[str], families: Sequence[UnitaryFamily]
                        ) -> tuple[Povm, float]:
@@ -485,10 +513,10 @@ def sequential_decoder(rho: DensityMatrix, sender_groups: Sequence[Sequence[str]
 
     Stage z discriminates the encodings of sender z on the marginal holding
     senders 1..z and the receiver system, via a pretty-good measurement.
-    The stage operators are chained with their gentle complements over all
-    outcome patterns, conjugated by the encoding unitaries, and summed into
-    one POVM element per index tuple. Returns the POVM and the average
-    success probability on the encoded states.
+    Per index tuple, the stages' Kraus pairs on their marginals' labels go
+    through `_outcome_pattern_sum` (as in `union_bound_check`), conjugated
+    by the encoding unitaries into one POVM element. Returns the POVM and
+    the average success probability on the encoded states.
     """
     check_dim_budget(rho.dim)
     z_count = len(sender_groups)
@@ -497,40 +525,27 @@ def sequential_decoder(rho: DensityMatrix, sender_groups: Sequence[Sequence[str]
     layout = rho.layout
     v_labels = list(v_labels)
 
-    # per-stage: squared/gentle operators on the stage marginal, back-rotated
-    stage_ops: list[list[tuple[np.ndarray, np.ndarray]]] = []
-    stage_labels: list[list[str]] = []
+    # per stage: the marginal's labels and a back-rotated Kraus pair per index
+    stages = []
     for z in range(z_count):
         labels = [lab for g in sender_groups[: z + 1] for lab in g] + v_labels
         marginal = partial_trace(rho, labels)
-        order = list(marginal.layout.labels)
         group = list(sender_groups[z])
         fam = families[z]
         encoded = [conjugate_local(marginal.matrix, fam.block(k), group, marginal.layout)
                    for k in range(fam.size)]
         povm = pgm_decoder(encoded, [1.0 / fam.size] * fam.size, fold_completion=True)
-        ops = []
-        for k in range(fam.size):
-            upsilon = conjugate_local(_psd_power(povm.elements[k], 0.5),
-                                      fam.block(k).conj().T, group, marginal.layout)
-            sq = upsilon @ upsilon
-            eye = np.eye(sq.shape[0])
-            gentle = upsilon @ _psd_power(eye - sq, 0.5)
-            ops.append((sq, gentle))
-        stage_ops.append(ops)
-        stage_labels.append(order)
+        stages.append((marginal.layout.labels, [
+            _kraus_pair(conjugate_local(_psd_power(povm.elements[k], 0.5),
+                                        fam.block(k).conj().T, group, marginal.layout))
+            for k in range(fam.size)]))
 
     rho_mat = rho.matrix
-    sizes = [fam.size for fam in families]
     elements = []
     success_terms = []
-    for k_tuple in product(*[range(s) for s in sizes]):
-        # sum over outcome patterns b of C^dag C, C = O_Z^{b_Z} ... O_1^{b_1},
-        # nested from stage Z inward: M <- sum_b (O_z^b)^dag M O_z^b
-        lam = np.eye(rho.dim, dtype=complex)
-        for z in reversed(range(z_count)):
-            lam = sum(conjugate_local(lam, op.conj().T, stage_labels[z], layout)
-                      for op in stage_ops[z][k_tuple[z]])
+    for k_tuple in product(*[range(fam.size) for fam in families]):
+        lam = _outcome_pattern_sum([(on, pairs[k]) for (on, pairs), k in zip(stages, k_tuple)],
+                                   layout)
         # Tr[U lam U^dag U rho U^dag] = Tr[lam rho] for the encoding U of k_tuple
         success_terms.append(float(np.real(np.einsum("ij,ji->", lam, rho_mat))))
         for z in range(z_count):
@@ -556,10 +571,10 @@ class UnionBoundResult:
 def union_bound_check(lambdas: Sequence[np.ndarray], rho) -> UnionBoundResult:
     """Gentle sequential-measurement bound for operators 0 <= L_j <= I.
 
-    Computes Tr[rho] - Tr[Lhat rho] via the outcome-pattern sum,
-    the bound 2 sqrt(sum_j Tr[(I - L_j) rho]), and cross-validates against
-    the ancilla-chain evaluation. Raises if they disagree beyond 1e-10 or
-    the bound fails beyond 1e-9.
+    Computes Tr[rho] - Tr[Lhat rho] with `sequential_decoder`'s kernels on
+    one factor, the bound 2 sqrt(sum_j Tr[(I - L_j) rho]), and cross-validates
+    against the independent ancilla-chain evaluation. Raises if they disagree
+    beyond 1e-10 or the bound fails beyond 1e-9.
     """
     rho_mat = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
     d = rho_mat.shape[0]
@@ -568,19 +583,13 @@ def union_bound_check(lambdas: Sequence[np.ndarray], rho) -> UnionBoundResult:
         eig = np.linalg.eigvalsh((l + l.conj().T) / 2)
         if eig.min() < -1e-10 or eig.max() > 1 + 1e-10:
             raise StateValidationError("operator outside [0, I]")
-    # outcome-pattern sum of C^dag C, C = P_Z^{b_Z} ... P_1^{b_1}, nested
-    # from the last operator inward: M <- sum_b (P_j^b)^dag M P_j^b
-    pieces = []
-    for l in mats:
-        sq = _psd_power(l, 0.5)
-        pieces.append((l, sq @ _psd_power(np.eye(d) - l, 0.5)))
-    lam_hat = np.eye(d, dtype=complex)
-    for pair in reversed(pieces):
-        lam_hat = sum(p.conj().T @ lam_hat @ p for p in pair)
+    pairs = [_kraus_pair(_psd_power(l, 0.5)) for l in mats]
+    lam_hat = _outcome_pattern_sum([(("S",), pair) for pair in pairs],
+                                   SystemLayout((("S", d),)))
     lam_hat_trace = float(np.real(np.einsum("ij,ji->", lam_hat, rho_mat)))
     # ancilla chain: Pi_j = L_j (x) |0> + sqrt(L_j) sqrt(I - L_j) (x) |1>
     sigma = rho_mat
-    for l, gentle in pieces:
+    for l, gentle in pairs:
         # Pi maps H -> H (x) M_j with the fresh qubit least significant
         pi = np.zeros((2 * d, d), dtype=complex)
         pi[0::2, :] = l
@@ -733,9 +742,7 @@ def build_qmap_code(rho: DensityMatrix, senders: Sequence, b: Sequence[str],
     message_bits = _rate_bits(n, rates)
     check_message_space(message_bits)
     block_bits = _rate_bits(n, d_rates)
-    qubits, bits = budget_qubits(), sum(message_bits) + sum(block_bits)
-    if bits > qubits:
-        raise BudgetError(f"index space 2^{bits} exceeds budget {2 ** qubits}")
+    _check_index_space(sum(message_bits) + sum(block_bits))
     message_counts = [2 ** b for b in message_bits]
     block_sizes = [2 ** b for b in block_bits]
     copy_groups = tuple(SystemLayout.copy_major(g, n) for g in groups)
@@ -952,12 +959,16 @@ def encoding_experiment(rho: DensityMatrix, senders: Sequence, n: int,
                         family: str = "haar") -> SimulationReport:
     """Sweep family sizes: for each size K and trial t, every sender draws a
     family of K unitaries (Haar prefix (K, t, z)), and the report holds the
-    average PGM success on the K^Z encoded index states as `success_K<K>`."""
+    average PGM success on the K^Z encoded index states as `success_K<K>`.
+    The largest K^Z is bounded by 2^budget_qubits() before any family is
+    drawn, as a code's index space is."""
     _check_trials(trials)
     if len(set(k_sweep)) != len(k_sweep):
         # a repeated size would redraw its seed prefixes and count each trial twice
         raise ValueError(f"k_sweep sizes must be distinct, got {list(k_sweep)}")
     groups = label_groups(senders)
+    # a size below 1 is left for its family to refuse
+    _check_index_space(len(groups) * math.log2(max([1, *k_sweep])))
     rho_n = _n_copies(rho, n)
     copy_groups = [SystemLayout.copy_major(g, n) for g in groups]
     samples: dict[str, list[float]] = {f"success_K{k}": [] for k in k_sweep}

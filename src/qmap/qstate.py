@@ -220,15 +220,14 @@ def psd_violation(h: np.ndarray, tol: float) -> float | None:
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Hermitian PSD matrix bound to a layout.
+    """Hermitian PSD matrix of unit trace bound to a layout.
 
-    Normalized states have unit trace; `subnormalized=True` permits any
-    trace in [0, 1] (used by the gentle-measurement machinery).
+    Operators of other traces (gentle-measurement operators, POVM elements)
+    stay plain matrices.
     """
 
     matrix: np.ndarray
     layout: SystemLayout
-    subnormalized: bool = False
 
     def __post_init__(self):
         m = _as_square_complex(self.matrix)
@@ -248,10 +247,7 @@ class DensityMatrix:
         if min_eig is not None:
             raise StateValidationError(f"matrix is not PSD: min eigenvalue {min_eig}")
         tr = float(np.real(np.trace(m)))
-        if self.subnormalized:
-            if not (-TRACE_TOL <= tr <= 1 + TRACE_TOL):
-                raise StateValidationError(f"subnormalized trace {tr} outside [0, 1]")
-        elif abs(tr - 1) > TRACE_TOL:
+        if abs(tr - 1) > TRACE_TOL:
             raise StateValidationError(f"trace {tr} is not 1 within tolerance")
         m = m.copy()
         m.flags.writeable = False
@@ -293,8 +289,7 @@ def tensor(a: DensityMatrix, b: DensityMatrix) -> DensityMatrix:
     if overlap:
         raise LabelError(f"label collision in tensor product: {sorted(overlap)}")
     layout = SystemLayout(a.layout.factors + b.layout.factors)
-    return DensityMatrix(np.kron(a.matrix, b.matrix), layout,
-                         subnormalized=a.subnormalized or b.subnormalized)
+    return DensityMatrix(np.kron(a.matrix, b.matrix), layout)
 
 
 def tensor_power(s: DensityMatrix, n: int) -> DensityMatrix:
@@ -304,7 +299,7 @@ def tensor_power(s: DensityMatrix, n: int) -> DensityMatrix:
     m = s.matrix
     for _ in range(n - 1):
         m = np.kron(m, s.matrix)
-    return DensityMatrix(m, s.layout.power(n), subnormalized=s.subnormalized)
+    return DensityMatrix(m, s.layout.power(n))
 
 
 def _basis_permutation(layout: SystemLayout, new_order: Sequence[str]) -> np.ndarray:
@@ -330,8 +325,7 @@ def permute_factors(s: DensityMatrix, new_order: Sequence[str]) -> DensityMatrix
     idx = _basis_permutation(s.layout, new_order)
     layout = SystemLayout(tuple(
         (lab, s.layout.dims[s.layout.index(lab)]) for lab in new_order))
-    return DensityMatrix(s.matrix[np.ix_(idx, idx)], layout,
-                         subnormalized=s.subnormalized)
+    return DensityMatrix(s.matrix[np.ix_(idx, idx)], layout)
 
 
 def embed_operator(op, op_labels: Sequence[str], layout: SystemLayout) -> np.ndarray:
@@ -406,8 +400,7 @@ def apply_unitary(s: DensityMatrix, u, on: Sequence[str]) -> DensityMatrix:
     the unitary is written in.
     """
     um = u.matrix if isinstance(u, UnitaryMatrix) else u
-    return DensityMatrix(conjugate_local(s.matrix, um, on, s.layout), s.layout,
-                         subnormalized=s.subnormalized)
+    return DensityMatrix(conjugate_local(s.matrix, um, on, s.layout), s.layout)
 
 
 def partial_trace(s: DensityMatrix, keep: str | Iterable[str]) -> DensityMatrix:
@@ -429,13 +422,11 @@ def partial_trace(s: DensityMatrix, keep: str | Iterable[str]) -> DensityMatrix:
     d = math.prod(dim for _, dim in kept_factors)
     layout = SystemLayout(kept_factors) if kept_factors else SystemLayout(
         (("_trivial", 1),))
-    return DensityMatrix(t.reshape(d, d), layout, subnormalized=s.subnormalized)
+    return DensityMatrix(t.reshape(d, d), layout)
 
 
 def entropy(s: DensityMatrix) -> float:
     """von Neumann entropy in bits."""
-    if s.subnormalized:
-        raise StateValidationError("entropy of a subnormalized state is undefined here")
     # the constructor certified PSD; eigenvalues <= EIG_ZERO_TOL add nothing
     eig = np.linalg.eigvalsh((s.matrix + s.matrix.conj().T) / 2)
     eig = eig[eig > EIG_ZERO_TOL]

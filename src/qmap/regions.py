@@ -45,6 +45,21 @@ def mask_of(subset: Iterable[int]) -> int:
     return mask
 
 
+def _entries_to_json(z: int, values: Sequence[float]) -> list[dict]:
+    """One {"subset", "value"} entry per nonempty subset, in bitmask order."""
+    return [{"subset": list(subsets_of(m)), "value": values[m]} for m in range(1, 1 << z)]
+
+
+def _entries_from_json(obj: dict) -> tuple[int, tuple[float, ...]]:
+    """The sender count and bitmask-indexed table of a JSON entries object;
+    a subset it does not list has value 0."""
+    z = int(obj["z"])
+    values = [0.0] * (1 << z)
+    for entry in obj["entries"]:
+        values[mask_of(entry["subset"])] = float(entry["value"])
+    return z, tuple(values)
+
+
 @dataclass(frozen=True)
 class SetFunction:
     """Total real-valued table over subsets of {1..Z}, zero at the empty set."""
@@ -69,21 +84,11 @@ class SetFunction:
         return self.values[mask]
 
     def to_json(self) -> dict:
-        return {
-            "z": self.z_count,
-            "entries": [
-                {"subset": list(subsets_of(m)), "value": self.values[m]}
-                for m in range(1, 1 << self.z_count)
-            ],
-        }
+        return {"z": self.z_count, "entries": _entries_to_json(self.z_count, self.values)}
 
     @staticmethod
     def from_json(obj: dict) -> "SetFunction":
-        z = int(obj["z"])
-        values = [0.0] * (1 << z)
-        for entry in obj["entries"]:
-            values[mask_of(entry["subset"])] = float(entry["value"])
-        return SetFunction(z, tuple(values))
+        return SetFunction(*_entries_from_json(obj))
 
 
 @dataclass(frozen=True)
@@ -108,22 +113,12 @@ class RateRegion:
         return self.bounds[mask_of(subset)]
 
     def to_json(self) -> dict:
-        return {
-            "z": self.z_count,
-            "direction": self.direction,
-            "entries": [
-                {"subset": list(subsets_of(m)), "value": self.bounds[m]}
-                for m in range(1, 1 << self.z_count)
-            ],
-        }
+        return {"z": self.z_count, "direction": self.direction,
+                "entries": _entries_to_json(self.z_count, self.bounds)}
 
     @staticmethod
     def from_json(obj: dict) -> "RateRegion":
-        z = int(obj["z"])
-        bounds = [0.0] * (1 << z)
-        for entry in obj["entries"]:
-            bounds[mask_of(entry["subset"])] = float(entry["value"])
-        return RateRegion(z, tuple(bounds), obj.get("direction", "<="))
+        return RateRegion(*_entries_from_json(obj), obj.get("direction", "<="))
 
 
 @dataclass(frozen=True)
@@ -368,19 +363,15 @@ def polymatroid_vertices(f: SetFunction) -> list[tuple[float, ...]]:
     return _greedy_vertices(f, "<=")
 
 
-def contrapolymatroid_vertices(d: SetFunction,
-                               log_dims: Sequence[float] | None = None
+def contrapolymatroid_vertices(d: SetFunction, log_dims: Sequence[float]
                                ) -> list[tuple[float, ...]]:
     """Greedy extremal points of the >=-region of a strongly superadditive table.
 
-    When sender log-dimensions are supplied, the precondition is checked on
-    the complementary table 2*sum log d - d; otherwise directly on d.
+    The precondition is checked on the complementary table 2*sum log d - d
+    (`dcheck_from_dhat`), built from the senders' log-dimensions.
     """
-    if log_dims is not None:
-        report = check_set_function_properties(dcheck_from_dhat(d, log_dims),
-                                               "subadditive-monotone")
-    else:
-        report = check_set_function_properties(d, "superadditive")
+    report = check_set_function_properties(dcheck_from_dhat(d, log_dims),
+                                           "subadditive-monotone")
     if not report.passed:
         raise ValueError(f"precondition failed: {report}")
     return _greedy_vertices(d, ">=")

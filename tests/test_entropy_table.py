@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmap import cli, regions
+from qmap import cli, protocols, regions
 from qmap.presets import SpecError, _parse_matrix
 from qmap.qstate import (
     SystemLayout,
@@ -252,8 +252,8 @@ class TestEmptyReceiverCount:
         assert len(entropy_calls) == 2 ** z
         assert len(set(entropy_calls)) == len(entropy_calls)
 
-    @pytest.mark.parametrize("suite", [cli._lemma_structure_suite,
-                                       cli._lemma_vertices_suite])
+    @pytest.mark.parametrize("suite", [protocols._lemma_structure_suite,
+                                       protocols._lemma_vertices_suite])
     def test_lemma_suites_cost_two_to_the_z_per_state(self, suite, entropy_calls):
         result = suite(5, [2, 3], 2)
         assert result["passed"]

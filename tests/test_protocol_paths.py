@@ -3,11 +3,13 @@
 The references are the direct forms: the explicit sum over all 2^Z outcome
 patterns of the gentle chain, and a message state as the senders+E marginal
 of the mean of `encode` over its block tuples. Also covered: a budget is
-checked before anything is allocated, and the CLI fixes that ride along (an
-empty W, distinct `k_sweep` sizes, the `verify-lemmas` seed).
+checked before anything is allocated (`simulate-encoding`'s K^Z index tuples
+among them), and the CLI fixes that ride along (an empty W, distinct
+`k_sweep` sizes, the `verify-lemmas` seed).
 """
 
 import json
+import time
 from dataclasses import replace
 from itertools import product
 
@@ -22,6 +24,8 @@ from qmap.protocols import (
     BudgetError,
     CodeSpec,
     Povm,
+    _kraus_pair,
+    _outcome_pattern_sum,
     _psd_power,
     build_qmap_code,
     chained_randomization_experiment,
@@ -124,6 +128,25 @@ def test_union_bound_matches_pattern_sum(stages):
     assert abs(union_bound_check(lams, rho).lambda_hat_trace - expected) < 1e-12
 
 
+@pytest.mark.parametrize("stages", [1, 2, 3])
+def test_outcome_pattern_sum_matches_pattern_sum(stages):
+    # each stage acts on its own label set, in its own factor order
+    layout = SystemLayout((("A1", 2), ("B", 3), ("A2", 2), ("A3", 2)))
+    on = [("A1", "B"), ("A2", "A1"), ("B", "A3", "A2")][:stages]
+    rng = derived_rng(9, stages)
+    pairs = []
+    for labels in on:
+        dim = layout.dim_of(labels)
+        g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        h = g @ g.conj().T
+        pairs.append(_kraus_pair(_psd_power(h / (np.linalg.eigvalsh(h).max()
+                                                 * (1 + rng.uniform(0, 1))), 0.5)))
+    got = _outcome_pattern_sum(list(zip(on, pairs)), layout)
+    want = pattern_sum(pairs, lambda chain, z, op: apply_local(chain, op, on[z], layout),
+                       np.eye(layout.dim, dtype=complex))
+    assert np.max(np.abs(got - want)) < 1e-12
+
+
 @pytest.mark.parametrize("family", ["haar", "pauli"])
 def test_evaluate_code_message_states_match_encode_mean(family, monkeypatch):
     spec = resolve_state_spec({"preset": {"name": "two-bell"}})
@@ -217,6 +240,36 @@ def test_randomization_with_empty_w(tmp_path):
     distances = [v for vals in report["samples"].values() for v in vals]
     assert len(distances) == 3
     assert all(0 <= v <= 2 for v in distances)
+
+
+class DrawnFamily(Exception):
+    """Raised by a patched `make_family`: the run got past every budget."""
+
+
+@pytest.fixture
+def no_family(monkeypatch):
+    def drawn(*args, **kwargs):
+        raise DrawnFamily
+
+    monkeypatch.setattr(protocols, "make_family", drawn)
+
+
+TWO_BELL = {"preset": {"name": "two-bell"}}
+
+
+def test_encoding_index_space_is_refused_before_any_family(tmp_path, capsys, no_family):
+    config = {"n": 1, "k_sweep": [2, 128], "trials": 1}  # 128^2 = 2^14 index tuples
+    start = time.perf_counter()
+    assert run(tmp_path, "simulate-encoding", config, TWO_BELL, seed=0) == 4
+    assert time.perf_counter() - start < 1
+    assert "index space 2^14 exceeds budget 4096" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_encoding_index_space_at_the_budget_passes_the_gate(tmp_path, no_family):
+    config = {"n": 1, "k_sweep": [64], "trials": 1}  # 64^2 = 2^12, exactly the budget
+    with pytest.raises(DrawnFamily):
+        run(tmp_path, "simulate-encoding", config, TWO_BELL, seed=0)
 
 
 def test_repeated_k_sweep_size_is_rejected(tmp_path, capsys):

@@ -80,10 +80,6 @@ class TestDensityMatrix:
         with pytest.raises(StateValidationError):
             DensityMatrix(np.eye(4) / 2, AB)
 
-    def test_subnormalized_allows_small_trace(self):
-        s = DensityMatrix(np.eye(4) / 8, AB, subnormalized=True)
-        assert s.subnormalized
-
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
             DensityMatrix(np.eye(3) / 3, AB)
@@ -210,11 +206,6 @@ class TestEntropy:
     def test_overlapping_labels_rejected(self):
         with pytest.raises(LabelError):
             conditional_entropy(bell(), ["A"], ["A"])
-
-    def test_subnormalized_entropy_rejected(self):
-        s = DensityMatrix(np.eye(4) / 8, AB, subnormalized=True)
-        with pytest.raises(StateValidationError):
-            entropy(s)
 
 
 class TestNorms:
