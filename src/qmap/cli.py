@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import protocols, regions
 from .presets import ResolvedSpec, SpecError, _field, resolve_state_spec
-from .protocols import BudgetError, budget_qubits  # noqa: F401 (public via qmap.cli)
+from .protocols import BudgetError
 from .qstate import StateValidationError
 
 EXIT_OK = 0

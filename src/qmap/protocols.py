@@ -25,6 +25,7 @@ import numpy as np
 
 from . import regions
 from .qstate import (
+    HERMITIAN_TOL,
     UNITARY_TOL,
     DensityMatrix,
     DimensionError,
@@ -269,6 +270,16 @@ def encode(rho_n: DensityMatrix, families: Sequence[UnitaryFamily],
     return [by_index[i] for i in range(len(k_tuples))]
 
 
+def _encoded_factors(rho: DensityMatrix, families: Sequence[UnitaryFamily],
+                     groups: Sequence[Sequence[str]]) -> list[np.ndarray]:
+    """Square-root factors U_k F of `encode`'s states for each index tuple k in
+    flat order, with F F^dag = rho from one eigendecomposition and sender z's
+    unitary applied on `groups[z]` once per prefix."""
+    return list(_prefix_walk(_sqrt_factor(rho.matrix), lambda z, k: families[z].block(k),
+                             groups, product(*[range(f.size) for f in families]),
+                             lambda f, u, on: apply_local(f, u, on, rho.layout)))
+
+
 def _mix(rho: DensityMatrix, unitaries: Sequence[np.ndarray],
          on: Sequence[str]) -> DensityMatrix:
     """Uniform mixture of rho conjugated by each unitary on the `on` factors."""
@@ -322,6 +333,8 @@ class Povm:
         for el in self.elements:
             if el.shape != (d, d):
                 raise DimensionError("POVM elements must share one dimension")
+            if np.max(np.abs(el - el.conj().T)) > HERMITIAN_TOL:
+                raise StateValidationError("POVM element is not Hermitian within tolerance")
             min_eig = psd_violation((el + el.conj().T) / 2, POVM_PSD_TOL)
             if min_eig is not None:
                 raise StateValidationError(
@@ -365,39 +378,31 @@ def _sqrt_factor(m: np.ndarray, cutoff: float | None = None) -> np.ndarray:
     return vec * np.sqrt(eig)
 
 
-def pgm_decoder(states: Sequence[DensityMatrix | np.ndarray],
-                priors: Sequence[float], fold_completion: bool = False,
-                factors: Iterable[np.ndarray] | None = None) -> Povm:
-    """Square-root measurement for a state ensemble.
+def _pgm(factors: Sequence[np.ndarray], priors: Sequence[float],
+         fold_completion: bool = False) -> Povm:
+    """Square-root measurement for the ensemble whose state k is F_k F_k^dag.
 
-    Elements are rhobar^{-1/2} p_k rho_k rhobar^{-1/2} with the inverse
-    square root taken on rhobar's support, built as Gram matrices B_k B_k^dag
-    with B_k = sqrt(p_k) rhobar^{-1/2} F_k and F_k F_k^dag = rho_k, so they
-    stay PSD to rounding however large rhobar^{-1/2} is. `factors` supplies
-    the F_k (an iterable consumed once, in state order); by default each is
-    taken from its state's eigendecomposition. Each B_k is then replaced by
-    T^{-1/2} B_k, T = sum_k B_k B_k^dag: T is the support projector
-    in exact arithmetic, and in floating point this makes the elements sum
-    to a projector to rounding even when rhobar is nearly singular, so the
-    completion I - sum_k E_k is PSD to rounding as well. The null-space
-    projector is appended as a completion element, or folded uniformly into
-    the K elements when `fold_completion` (which keeps exactly K outcomes).
+    Elements are rhobar^{-1/2} p_k rho_k rhobar^{-1/2} on rhobar's support,
+    rhobar = sum_k p_k F_k F_k^dag, built as B_k B_k^dag with B_k = sqrt(p_k)
+    rhobar^{-1/2} F_k, so they stay PSD to rounding however large
+    rhobar^{-1/2} is. Each B_k is then replaced by T^{-1/2} B_k, T = sum_k
+    B_k B_k^dag: T is the support projector in exact arithmetic, and in
+    floating point this makes the elements sum to a projector to rounding
+    even when rhobar is nearly singular, so the completion I - sum_k E_k is
+    PSD to rounding as well. The null-space projector is appended as a
+    completion element, or folded uniformly into the K elements when
+    `fold_completion` (which keeps exactly K outcomes).
     """
-    mats = [s.matrix if isinstance(s, DensityMatrix) else np.asarray(s, dtype=complex)
-            for s in states]
     priors = [float(p) for p in priors]
-    if len(mats) != len(priors):
+    if len(factors) != len(priors):
         raise ValueError("need one prior per state")
     if abs(sum(priors) - 1) > 1e-9:
         raise ValueError(f"priors must sum to 1, got {sum(priors)}")
-    d = mats[0].shape[0]
-    avg = sum(p * m for p, m in zip(priors, mats))
+    avg = sum(p * (f @ f.conj().T) for p, f in zip(priors, factors))
     if np.max(np.abs(avg)) == 0:
         raise ValueError("degenerate ensemble: average state is zero")
     inv_sqrt = _psd_power(avg, -0.5, cutoff=PINV_CUTOFF)
-    if factors is None:
-        factors = (_sqrt_factor(m) for m in mats)
-    bs = [math.sqrt(p) * (inv_sqrt @ f) for p, f in zip(priors, factors, strict=True)]
+    bs = [math.sqrt(p) * (inv_sqrt @ f) for p, f in zip(priors, factors)]
     refine = _psd_power(sum(b @ b.conj().T for b in bs), -0.5, cutoff=PINV_CUTOFF)
     # each B_k is overwritten by its element, so one list of d x d matrices
     # is alive at a time
@@ -405,43 +410,30 @@ def pgm_decoder(states: Sequence[DensityMatrix | np.ndarray],
     for i, b in enumerate(bs):
         c = refine @ b
         elements[i] = c @ c.conj().T
-    completion = np.eye(d) - sum(elements)
+    completion = np.eye(len(avg)) - sum(elements)
     if fold_completion:
         elements = [el + completion / len(elements) for el in elements]
-        return Povm(tuple(elements))
-    if np.max(np.abs(completion)) > POVM_SUM_TOL:
+    elif np.max(np.abs(completion)) > POVM_SUM_TOL:
         elements.append(completion)
     return Povm(tuple(elements))
 
 
-def povm_success(povm: Povm, states: Sequence[DensityMatrix | np.ndarray],
-                 priors: Sequence[float] | None = None) -> float:
-    """Average probability of outcome k on state k (extra POVM elements
-    beyond the ensemble count never fire correctly)."""
-    mats = [s.matrix if isinstance(s, DensityMatrix) else np.asarray(s, dtype=complex)
-            for s in states]
-    if priors is None:
-        priors = [1.0 / len(mats)] * len(mats)
+def pgm_decoder(states: Sequence[DensityMatrix | np.ndarray],
+                priors: Sequence[float], fold_completion: bool = False) -> Povm:
+    """Square-root measurement for a state ensemble: `_pgm` on each state's own
+    square-root factor. The plain reference for the library's factor paths."""
+    return _pgm([_sqrt_factor(s.matrix if isinstance(s, DensityMatrix)
+                              else np.asarray(s, dtype=complex)) for s in states],
+                priors, fold_completion)
+
+
+def povm_success(povm: Povm, states: Sequence[DensityMatrix | np.ndarray]) -> float:
+    """Average probability of outcome k on state k under uniform priors (extra
+    POVM elements beyond the ensemble count never fire correctly)."""
+    p = 1.0 / len(states)
     return float(np.real(sum(
-        p * np.einsum("ij,ji->", povm.elements[k], m)
-        for k, (p, m) in enumerate(zip(priors, mats)))))
-
-
-def encoded_pgm(rho_n: DensityMatrix, families: Sequence[UnitaryFamily],
-                groups: Sequence[Sequence[str]], k_tuples: Sequence[Sequence[int]]
-                ) -> tuple[list[DensityMatrix], Povm]:
-    """Encoded states of `encode` and their uniform-prior PGM.
-
-    The PGM's square-root factors are U_k F, with F F^dag = rho_n from a
-    single eigendecomposition, produced one at a time along the same
-    prefix walk as the states.
-    """
-    encoded = encode(rho_n, families, groups, k_tuples)
-    layout = rho_n.layout
-    factors = _prefix_walk(_sqrt_factor(rho_n.matrix), lambda z, k: families[z].block(k),
-                           groups, k_tuples, lambda f, u, on: apply_local(f, u, on, layout))
-    povm = pgm_decoder(encoded, [1.0 / len(encoded)] * len(encoded), factors=factors)
-    return encoded, povm
+        p * np.einsum("ij,ji->", el, s.matrix if isinstance(s, DensityMatrix) else s)
+        for el, s in zip(povm.elements, states))))
 
 
 def pgm_success_table(factor: np.ndarray, layout: SystemLayout,
@@ -459,7 +451,7 @@ def pgm_success_table(factor: np.ndarray, layout: SystemLayout,
     (Hausladen & Wootters 1994). U_k is a tensor product over copies, so
     each (k', k) block of G is the Kronecker product over copies i of the
     single-copy blocks F^dag V_k'i^dag V_ki F. G^{1/2} drops G's eigenvalues
-    below PINV_CUTOFF times the largest, as `pgm_decoder`'s pseudo-inverse
+    below PINV_CUTOFF times the largest, as `_pgm`'s pseudo-inverse
     does for rhobar, whose nonzero spectrum G shares. Raises
     StateValidationError when an entry is negative or a column sums above
     one beyond the POVM tolerances.
@@ -512,7 +504,8 @@ def sequential_decoder(rho: DensityMatrix, sender_groups: Sequence[Sequence[str]
     """Gentle successive decoder for distributed encodings.
 
     Stage z discriminates the encodings of sender z on the marginal holding
-    senders 1..z and the receiver system, via a pretty-good measurement.
+    senders 1..z and the receiver system, via a pretty-good measurement on
+    the factors U_k F of one eigendecomposition F F^dag of that marginal.
     Per index tuple, the stages' Kraus pairs on their marginals' labels go
     through `_outcome_pattern_sum` (as in `union_bound_check`), conjugated
     by the encoding unitaries into one POVM element. Returns the POVM and
@@ -532,9 +525,8 @@ def sequential_decoder(rho: DensityMatrix, sender_groups: Sequence[Sequence[str]
         marginal = partial_trace(rho, labels)
         group = list(sender_groups[z])
         fam = families[z]
-        encoded = [conjugate_local(marginal.matrix, fam.block(k), group, marginal.layout)
-                   for k in range(fam.size)]
-        povm = pgm_decoder(encoded, [1.0 / fam.size] * fam.size, fold_completion=True)
+        factors = _encoded_factors(marginal, [fam], [group])
+        povm = _pgm(factors, [1.0 / fam.size] * fam.size, fold_completion=True)
         stages.append((marginal.layout.labels, [
             _kraus_pair(conjugate_local(_psd_power(povm.elements[k], 0.5),
                                         fam.block(k).conj().T, group, marginal.layout))
@@ -580,6 +572,8 @@ def union_bound_check(lambdas: Sequence[np.ndarray], rho) -> UnionBoundResult:
     d = rho_mat.shape[0]
     mats = [np.asarray(l, dtype=complex) for l in lambdas]
     for l in mats:
+        if np.max(np.abs(l - l.conj().T)) > HERMITIAN_TOL:
+            raise StateValidationError("operator is not Hermitian within tolerance")
         eig = np.linalg.eigvalsh((l + l.conj().T) / 2)
         if eig.min() < -1e-10 or eig.max() > 1 + 1e-10:
             raise StateValidationError("operator outside [0, I]")
@@ -755,9 +749,8 @@ def build_qmap_code(rho: DensityMatrix, senders: Sequence, b: Sequence[str],
     table = None
     if decoder == "pgm":
         def index_elements():
-            k_tuples = list(product(*[range(f.size) for f in families]))
-            _, povm = encoded_pgm(_n_copies(rho, n), families, copy_groups, k_tuples)
-            return povm.elements
+            factors = _encoded_factors(_n_copies(rho, n), families, copy_groups)
+            return _pgm(factors, [1.0 / len(factors)] * len(factors)).elements
         factor = _sqrt_factor(rho.matrix, cutoff=RANK_CUTOFF)
         if math.prod(f.size for f in families) * factor.shape[1] ** n <= rho.dim ** n:
             table = pgm_success_table(factor, rho.layout, families, groups)
@@ -977,9 +970,11 @@ def encoding_experiment(rho: DensityMatrix, senders: Sequence, n: int,
             families = [make_family(family, z, n, rho.layout.dim_of(g), k, master_seed,
                                     (k, t, z))
                         for z, g in enumerate(groups, start=1)]
-            k_tuples = list(product(*[range(f.size) for f in families]))
-            encoded, povm = encoded_pgm(rho_n, families, copy_groups, k_tuples)
-            samples[f"success_K{k}"].append(povm_success(povm, encoded))
+            factors = _encoded_factors(rho_n, families, copy_groups)
+            povm = _pgm(factors, [1.0 / len(factors)] * len(factors))
+            # Tr[E_k rho_k] = Tr[F_k^dag E_k F_k]
+            samples[f"success_K{k}"].append(float(np.mean(
+                [np.real(np.vdot(f, el @ f)) for f, el in zip(factors, povm.elements)])))
     samples_t = {name: tuple(vals) for name, vals in samples.items()}
     return SimulationReport(trials, _mean_estimates(samples_t), samples_t, master_seed,
                             {"k_sweep": list(k_sweep), "n": n, "family_kind": family})
@@ -1077,7 +1072,10 @@ def _lemma_union_bound_suite(seed: int, trials: int) -> dict:
 def lemma_suites(seed: int, sizes: Sequence[int], states_per_size: int,
                  union_trials: int) -> dict[str, dict]:
     """The four `verify-lemmas` suites by report name; their spawn keys are
-    (seed, suite, z, trial) for suites 1-3 and (seed, 4, trial) for suite 4."""
+    (seed, suite, z, trial) for suites 1-3 and (seed, 4, trial) for suite 4.
+    Before any state is drawn, the largest (z + 2 qubits for rate splitting, 3
+    for the union bound) is checked against the budget."""
+    check_dim_budget(2, max([z + 2 for z in sizes] + [3]))
     return {
         "set_function_structure": _lemma_structure_suite(seed, sizes, states_per_size),
         "greedy_vertices": _lemma_vertices_suite(seed, sizes, states_per_size),

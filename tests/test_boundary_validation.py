@@ -116,13 +116,13 @@ def test_sequential_decoder_builds_no_state_for_its_stage_ensembles(validations,
     rho = _state(["A1", "A2", "B1", "B2"], 7)
     families = [make_family("haar", z, 1, 2, 2, 8, (z,)) for z in (1, 2)]
     ensembles = []
-    decoder = protocols.pgm_decoder
+    decoder = protocols._pgm
 
-    def recorded(states, *args, **kwargs):
-        ensembles.append([type(s) for s in states])
-        return decoder(states, *args, **kwargs)
+    def recorded(factors, *args, **kwargs):
+        ensembles.append([type(f) for f in factors])
+        return decoder(factors, *args, **kwargs)
 
-    monkeypatch.setattr(protocols, "pgm_decoder", recorded)
+    monkeypatch.setattr(protocols, "_pgm", recorded)
     validations.clear()
     sequential_decoder(rho, [["A1"], ["A2"]], ["B1", "B2"], families)
     assert ensembles == [[np.ndarray] * 2] * 2

@@ -204,7 +204,7 @@ class TestSimulateCommands:
                      "--seed", "1"]) == 4
 
     def test_budget_env_capped(self, monkeypatch):
-        from qmap.cli import budget_qubits
+        from qmap.protocols import budget_qubits
         monkeypatch.setenv("QMAP_BUDGET_QUBITS", "20")
         assert budget_qubits() == 14
         monkeypatch.setenv("QMAP_BUDGET_QUBITS", "10")

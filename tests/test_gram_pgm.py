@@ -2,9 +2,9 @@
 
 `pgm_success_table` reads Tr[E_k' rho_k] of the uniform-prior pretty-good
 measurement from the square root of the ensemble's Gram matrix. The
-reference is the dense path: `encoded_pgm` on the n-copy state, and the
-code's coarse-grained decoder, which `CodeSpec.decoder` builds on first
-access. Beyond the dense reach, Pauli superdense coding has the known
+reference is the dense path: `pgm_decoder` on the encoded n-copy states,
+and the code's coarse-grained decoder, which `CodeSpec.decoder` builds on
+first access. Beyond the dense reach, Pauli superdense coding has the known
 answer: every message is decoded with certainty.
 """
 
@@ -22,9 +22,9 @@ from qmap.protocols import (
     _sqrt_factor,
     build_qmap_code,
     encode,
-    encoded_pgm,
     evaluate_code,
     make_family,
+    pgm_decoder,
     pgm_success_table,
 )
 from qmap.qstate import SystemLayout, random_density, tensor_power
@@ -57,7 +57,8 @@ def dense_table(rho, families, groups):
     n = families[0].n
     k_tuples = list(product(*[range(f.size) for f in families]))
     copy_groups = [SystemLayout.copy_major(g, n) for g in groups]
-    encoded, povm = encoded_pgm(tensor_power(rho, n), families, copy_groups, k_tuples)
+    encoded = encode(tensor_power(rho, n), families, copy_groups, k_tuples)
+    povm = pgm_decoder(encoded, [1.0 / len(encoded)] * len(encoded))
     return np.array([[np.real(np.einsum("ij,ji->", el, s.matrix)) for s in encoded]
                      for el in povm.elements[: len(k_tuples)]])
 
@@ -128,7 +129,7 @@ def _forbid(monkeypatch, *names):
 def test_superdense_success_at_n3_without_dense_decoder(monkeypatch):
     """Two-bell at n=3: 64 messages on a 4096-dim state, decoded with
     certainty; nothing of dimension 4096 is built."""
-    _forbid(monkeypatch, "tensor_power", "encoded_pgm", "pgm_decoder")
+    _forbid(monkeypatch, "tensor_power", "_pgm", "pgm_decoder")
     rho, groups = preset("two-bell")
     code = build_qmap_code(rho, groups, ("B1", "B2"), (), 3, [1, 1],
                            ([1, 1], [0, 0]), 0, family="pauli")
@@ -152,7 +153,7 @@ CODE_N2 = {"n": 2, "rates": [0.5, 0.5], "family": "haar", "decoder": "pgm"}
 
 
 def test_simulate_code_never_builds_the_dense_decoder(tmp_path, monkeypatch):
-    _forbid(monkeypatch, "encoded_pgm", "pgm_decoder")
+    _forbid(monkeypatch, "_pgm", "pgm_decoder")
     assert run_code(tmp_path, CODE_N2) == 0
     report = json.loads((tmp_path / "out" / "simulate-code.json").read_text())
     assert all(0 <= v <= 1 + 1e-9 for v in report["samples"]["success"])

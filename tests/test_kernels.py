@@ -15,10 +15,11 @@ from qmap.protocols import (
     POVM_PSD_TOL,
     PINV_CUTOFF,
     Povm,
+    _encoded_factors,
+    _pgm,
     _psd_power,
     derived_rng,
     encode,
-    encoded_pgm,
     haar_unitary,
     pgm_decoder,
     sample_family,
@@ -182,8 +183,8 @@ class TestGramPgm:
         families = [sample_family(z, 1, 2, 2, 4) for z in (1, 2)]
         groups = [("A1",), ("A2",)]
         k_tuples = list(product(range(2), range(2)))
-        encoded, povm = encoded_pgm(rho, families, groups, k_tuples)
-        bare = pgm_decoder(encoded, [0.25] * 4)
+        povm = _pgm(_encoded_factors(rho, families, groups), [0.25] * 4)
+        bare = pgm_decoder(encode(rho, families, groups, k_tuples), [0.25] * 4)
         assert len(povm) == len(bare)
         for a, b in zip(povm.elements, bare.elements):
             assert np.max(np.abs(a - b)) < 1e-10
@@ -207,14 +208,15 @@ class TestSeed22Regression:
     def test_pgm_elements_are_psd(self):
         rho_n, families, groups = self._ensemble()
         k_tuples = list(product(range(4), range(4)))
-        avg = sum(s.matrix for s in encode(rho_n, families, groups, k_tuples)) / 16
+        encoded = encode(rho_n, families, groups, k_tuples)
+        avg = sum(s.matrix for s in encoded) / 16
         eig = np.linalg.eigvalsh(avg)
         assert eig[0] < 1e-9 * eig[-1]  # the ill-conditioned case
-        encoded, povm = encoded_pgm(rho_n, families, groups, k_tuples)
-        for el in povm.elements:
-            assert np.min(np.linalg.eigvalsh(el)) > -1e-12
-        assert np.max(np.abs(sum(povm.elements) - np.eye(16))) < 1e-12
         bare = pgm_decoder(encoded, [1 / 16] * 16)
+        for povm in (_pgm(_encoded_factors(rho_n, families, groups), [1 / 16] * 16), bare):
+            for el in povm.elements:
+                assert np.min(np.linalg.eigvalsh(el)) > -1e-12
+            assert np.max(np.abs(sum(povm.elements) - np.eye(16))) < 1e-12
         assert 0.0 <= protocols.povm_success(bare, encoded) <= 1.0 + 1e-12
 
     def test_cli_exits_zero(self, tmp_path):

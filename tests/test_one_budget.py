@@ -22,6 +22,7 @@ from qmap.protocols import (
     chained_randomization_experiment,
     encoding_experiment,
     evaluate_code,
+    lemma_suites,
     randomize,
     sequential_decoder,
 )
@@ -75,6 +76,7 @@ def test_library_honours_the_lowered_budget(monkeypatch, bell, bell_code):
                                                  [2], 1, 0),
         lambda: encoding_experiment(bell.state, bell.senders, n, [2], 1, 0),
         lambda: evaluate_code(replace(bell_code, n=n), bell.state),
+        lambda: lemma_suites(0, [2], 1, 1),  # rate splitting at z=2 draws 2^4
     ]
     for call in calls:
         with pytest.raises(BudgetError, match="exceeds budget 4"):
@@ -114,6 +116,14 @@ def test_malformed_config_exits_2_at_its_path(tmp_path, capsys, command, spec, c
                                               path):
     assert run(tmp_path, command, config, spec, seed=0) == 2
     assert f"error: {path}: " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_verify_lemmas_refuses_sizes_past_the_budget(monkeypatch, tmp_path, capsys):
+    """z=3 draws 2^5-dim states; the budget refuses them before the first."""
+    monkeypatch.setenv("QMAP_BUDGET_QUBITS", "2")
+    assert run(tmp_path, "verify-lemmas", {"sizes": [3]}) == 4
+    assert "exceeds budget 4" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

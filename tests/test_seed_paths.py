@@ -29,19 +29,6 @@ def assert_haar_path(family, prefix):
             assert np.array_equal(u, expected), (prefix, k, i)
 
 
-def record_families(monkeypatch, name, position):
-    """The family list passed as argument `position` of each protocols.<name> call."""
-    calls = []
-    inner = getattr(protocols, name)
-
-    def recording(*args, **kwargs):
-        calls.append(list(args[position]))
-        return inner(*args, **kwargs)
-
-    monkeypatch.setattr(protocols, name, recording)
-    return calls
-
-
 def run_cli(tmp_path, command, config):
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({"preset": {"name": "two-bell"}}))
@@ -52,10 +39,18 @@ def run_cli(tmp_path, command, config):
 
 
 def test_simulate_encoding_prefix_is_size_trial_sender(tmp_path, monkeypatch):
-    calls = record_families(monkeypatch, "encoded_pgm", 1)
+    drawn = []
+    inner = protocols.make_family
+
+    def recording(*args, **kwargs):
+        drawn.append(inner(*args, **kwargs))
+        return drawn[-1]
+
+    monkeypatch.setattr(protocols, "make_family", recording)
     k_sweep, trials = [1, 3], 2
     run_cli(tmp_path, "simulate-encoding", {"n": 2, "k_sweep": k_sweep, "trials": trials})
     runs = [(k, t) for k in k_sweep for t in range(trials)]
+    calls = [drawn[i:i + 2] for i in range(0, len(drawn), 2)]  # two senders per run
     assert len(calls) == len(runs)
     for (k, t), families in zip(runs, calls):
         assert [f.size for f in families] == [k, k]
