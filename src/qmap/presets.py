@@ -16,7 +16,7 @@ import numpy as np
 
 from .protocols import check_dim_budget
 from .qstate import (
-    DensityMatrix, SystemLayout, label_groups, maximally_mixed, pure_state, tensor)
+    DensityMatrix, SystemLayout, label_groups, maximally_mixed, pure_state, require, tensor)
 
 
 class SpecError(ValueError):
@@ -100,8 +100,8 @@ def werner_state(p: float, label_a: str = "A1", label_b: str = "B") -> DensityMa
 def cq_state(probs: Sequence[float], label_a: str = "A1",
              label_b: str = "B") -> DensityMatrix:
     probs = [float(p) for p in probs]
-    if not probs or any(p < 0 for p in probs) or abs(sum(probs) - 1) > 1e-12:
-        raise ValueError("probs must be a nonnegative distribution summing to 1")
+    require(abs(sum(probs) - 1) if probs and min(probs) >= 0 else math.inf, 1e-12,
+            ValueError, "probs must be a nonnegative distribution summing to 1")
     d = len(probs)
     layout = SystemLayout(((label_a, d), (label_b, d)))
     m = np.zeros((d * d, d * d), dtype=complex)

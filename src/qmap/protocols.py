@@ -25,20 +25,21 @@ import numpy as np
 
 from . import regions
 from .qstate import (
-    HERMITIAN_TOL,
+    PSD_TOL,
     UNITARY_TOL,
     DensityMatrix,
     DimensionError,
     StateValidationError,
     SystemLayout,
     apply_local,
+    check_psd,
     conjugate_local,
     label_groups,
     maximally_mixed,
     partial_trace,
     permute_factors,
-    psd_violation,
     random_density,
+    require,
     tensor,
     tensor_power,
     trace_norm,
@@ -158,8 +159,8 @@ class UnitaryFamily:
             for u in copies:
                 if u.shape != (self.dim, self.dim):
                     raise DimensionError(f"per-copy unitary has shape {u.shape}")
-                if np.max(np.abs(u.conj().T @ u - eye)) > UNITARY_TOL:
-                    raise StateValidationError("family member is not unitary")
+                require(np.max(np.abs(u.conj().T @ u - eye)), UNITARY_TOL,
+                        StateValidationError, "family member is not unitary")
 
     @property
     def size(self) -> int:
@@ -270,14 +271,16 @@ def encode(rho_n: DensityMatrix, families: Sequence[UnitaryFamily],
     return [by_index[i] for i in range(len(k_tuples))]
 
 
-def _encoded_factors(rho: DensityMatrix, families: Sequence[UnitaryFamily],
+def _encoded_factors(factor: np.ndarray, layout: SystemLayout,
+                     families: Sequence[UnitaryFamily],
                      groups: Sequence[Sequence[str]]) -> list[np.ndarray]:
     """Square-root factors U_k F of `encode`'s states for each index tuple k in
-    flat order, with F F^dag = rho from one eigendecomposition and sender z's
-    unitary applied on `groups[z]` once per prefix."""
-    return list(_prefix_walk(_sqrt_factor(rho.matrix), lambda z, k: families[z].block(k),
+    flat order, from a factor F with F F^dag = rho on `layout` (as
+    `pgm_success_table` takes it), with sender z's unitary applied on
+    `groups[z]` once per prefix."""
+    return list(_prefix_walk(factor, lambda z, k: families[z].block(k),
                              groups, product(*[range(f.size) for f in families]),
-                             lambda f, u, on: apply_local(f, u, on, rho.layout)))
+                             lambda f, u, on: apply_local(f, u, on, layout)))
 
 
 def _mix(rho: DensityMatrix, unitaries: Sequence[np.ndarray],
@@ -333,17 +336,11 @@ class Povm:
         for el in self.elements:
             if el.shape != (d, d):
                 raise DimensionError("POVM elements must share one dimension")
-            if np.max(np.abs(el - el.conj().T)) > HERMITIAN_TOL:
-                raise StateValidationError("POVM element is not Hermitian within tolerance")
-            min_eig = psd_violation((el + el.conj().T) / 2, POVM_PSD_TOL)
-            if min_eig is not None:
-                raise StateValidationError(
-                    f"POVM element is not PSD within tolerance: min eigenvalue {min_eig}")
+            check_psd(el, POVM_PSD_TOL, "POVM element")
             total = total + el
         dev = np.max(np.abs(total - np.eye(d)))
-        if dev > POVM_SUM_TOL:
-            raise StateValidationError(
-                f"POVM completeness failure: max |sum - I| = {dev}")
+        require(dev, POVM_SUM_TOL, StateValidationError,
+                "POVM completeness failure: max |sum - I| = {}", dev)
 
     @property
     def dim(self) -> int:
@@ -396,8 +393,8 @@ def _pgm(factors: Sequence[np.ndarray], priors: Sequence[float],
     priors = [float(p) for p in priors]
     if len(factors) != len(priors):
         raise ValueError("need one prior per state")
-    if abs(sum(priors) - 1) > 1e-9:
-        raise ValueError(f"priors must sum to 1, got {sum(priors)}")
+    total = sum(priors)
+    require(abs(total - 1), 1e-9, ValueError, "priors must sum to 1, got {}", total)
     avg = sum(p * (f @ f.conj().T) for p, f in zip(priors, factors))
     if np.max(np.abs(avg)) == 0:
         raise ValueError("degenerate ensemble: average state is zero")
@@ -473,10 +470,10 @@ def pgm_success_table(factor: np.ndarray, layout: SystemLayout,
                       cutoff=PINV_CUTOFF)
     table = count * np.sum(np.abs(root.reshape(count, size, count, size)) ** 2,
                            axis=(1, 3))
-    if table.min() < -POVM_PSD_TOL or table.sum(axis=0).max() > 1 + POVM_SUM_TOL:
-        raise StateValidationError(
-            f"PGM success table out of range: min entry {table.min()}, "
-            f"max column sum {table.sum(axis=0).max()}")
+    low, high = table.min(), table.sum(axis=0).max()
+    message = "PGM success table out of range: min entry {}, max column sum {}"
+    require(-low, POVM_PSD_TOL, StateValidationError, message, low, high)
+    require(high, 1 + POVM_SUM_TOL, StateValidationError, message, low, high)
     return table
 
 
@@ -525,7 +522,8 @@ def sequential_decoder(rho: DensityMatrix, sender_groups: Sequence[Sequence[str]
         marginal = partial_trace(rho, labels)
         group = list(sender_groups[z])
         fam = families[z]
-        factors = _encoded_factors(marginal, [fam], [group])
+        factors = _encoded_factors(_sqrt_factor(marginal.matrix), marginal.layout,
+                                   [fam], [group])
         povm = _pgm(factors, [1.0 / fam.size] * fam.size, fold_completion=True)
         stages.append((marginal.layout.labels, [
             _kraus_pair(conjugate_local(_psd_power(povm.elements[k], 0.5),
@@ -572,11 +570,8 @@ def union_bound_check(lambdas: Sequence[np.ndarray], rho) -> UnionBoundResult:
     d = rho_mat.shape[0]
     mats = [np.asarray(l, dtype=complex) for l in lambdas]
     for l in mats:
-        if np.max(np.abs(l - l.conj().T)) > HERMITIAN_TOL:
-            raise StateValidationError("operator is not Hermitian within tolerance")
-        eig = np.linalg.eigvalsh((l + l.conj().T) / 2)
-        if eig.min() < -1e-10 or eig.max() > 1 + 1e-10:
-            raise StateValidationError("operator outside [0, I]")
+        check_psd(l, PSD_TOL, "operator")
+        check_psd(np.eye(d) - l, PSD_TOL, "I - operator")
     pairs = [_kraus_pair(_psd_power(l, 0.5)) for l in mats]
     lam_hat = _outcome_pattern_sum([(("S",), pair) for pair in pairs],
                                    SystemLayout((("S", d),)))
@@ -591,17 +586,14 @@ def union_bound_check(lambdas: Sequence[np.ndarray], rho) -> UnionBoundResult:
         big = np.kron(pi, np.eye(sigma.shape[0] // d))
         sigma = big @ sigma @ big.conj().T
     chain_trace = float(np.real(np.trace(sigma)))
-    if abs(chain_trace - lam_hat_trace) > 1e-10:
-        raise AssertionError(
-            f"chain evaluation {chain_trace} != closed form {lam_hat_trace}")
+    require(abs(chain_trace - lam_hat_trace), 1e-10, AssertionError,
+            "chain evaluation {} != closed form {}", chain_trace, lam_hat_trace)
     tr_rho = float(np.real(np.trace(rho_mat)))
     lhs = tr_rho - lam_hat_trace
     rhs = 2 * math.sqrt(max(0.0, sum(
         float(np.real(np.einsum("ij,ji->", np.eye(d) - l, rho_mat))) for l in mats)))
-    result = UnionBoundResult(lhs, rhs, lam_hat_trace, chain_trace)
-    if not result.holds:
-        raise AssertionError(f"union bound violated: lhs {lhs} > rhs {rhs}")
-    return result
+    require(lhs, rhs + 1e-9, AssertionError, "union bound violated: lhs {} > rhs {}", lhs, rhs)
+    return UnionBoundResult(lhs, rhs, lam_hat_trace, chain_trace)
 
 
 @dataclass(frozen=True)
@@ -688,8 +680,7 @@ def _rate_bits(n: int, rates: Sequence[float]) -> list[int]:
     """ceil(n R) for each rate R: the log2 of its count 2^ceil(n R)."""
     bits = []
     for r in rates:
-        if r < -1e-12:
-            raise ValueError(f"negative rate {r}")
+        require(-r, 1e-12, ValueError, "negative rate {}", r)
         bits.append(max(0, math.ceil(n * r - 1e-9)))
     return bits
 
@@ -730,8 +721,8 @@ def build_qmap_code(rho: DensityMatrix, senders: Sequence, b: Sequence[str],
     if len(c_rates) != len(groups) or len(d_rates) != len(groups):
         raise ValueError("splits must have one (C, D) pair per sender")
     for cz, dz, rz in zip(c_rates, d_rates, rates):
-        if abs(cz - (dz + rz)) > 1e-9:
-            raise ValueError(f"inconsistent split: C={cz} != D+R={dz + rz}")
+        require(abs(cz - (dz + rz)), 1e-9, ValueError,
+                "inconsistent split: C={} != D+R={}", cz, dz + rz)
     check_dim_budget(rho.dim, n)
     message_bits = _rate_bits(n, rates)
     check_message_space(message_bits)
@@ -749,7 +740,9 @@ def build_qmap_code(rho: DensityMatrix, senders: Sequence, b: Sequence[str],
     table = None
     if decoder == "pgm":
         def index_elements():
-            factors = _encoded_factors(_n_copies(rho, n), families, copy_groups)
+            rho_n = _n_copies(rho, n)
+            factors = _encoded_factors(_sqrt_factor(rho_n.matrix), rho_n.layout, families,
+                                       copy_groups)
             return _pgm(factors, [1.0 / len(factors)] * len(factors)).elements
         factor = _sqrt_factor(rho.matrix, cutoff=RANK_CUTOFF)
         if math.prod(f.size for f in families) * factor.shape[1] ** n <= rho.dim ** n:
@@ -936,9 +929,8 @@ def chained_randomization_experiment(rho: DensityMatrix, senders: Sequence,
             stage_total += dist
             chain = randomized if z == 1 else _mix(chain, unitaries, group)
         total = trace_norm(chain.matrix - total_target.matrix)
-        if total > stage_total + 1e-9:
-            raise AssertionError(
-                f"triangle chain violated: total {total} > stage sum {stage_total}")
+        require(total, stage_total + 1e-9, AssertionError,
+                "triangle chain violated: total {} > stage sum {}", total, stage_total)
         samples["total_distance"].append(total)
     samples_t = {k: tuple(v) for k, v in samples.items()}
     return SimulationReport(trials, _mean_estimates(samples_t), samples_t,
@@ -963,6 +955,7 @@ def encoding_experiment(rho: DensityMatrix, senders: Sequence, n: int,
     # a size below 1 is left for its family to refuse
     _check_index_space(len(groups) * math.log2(max([1, *k_sweep])))
     rho_n = _n_copies(rho, n)
+    factor = _sqrt_factor(rho_n.matrix)
     copy_groups = [SystemLayout.copy_major(g, n) for g in groups]
     samples: dict[str, list[float]] = {f"success_K{k}": [] for k in k_sweep}
     for k in k_sweep:
@@ -970,7 +963,7 @@ def encoding_experiment(rho: DensityMatrix, senders: Sequence, n: int,
             families = [make_family(family, z, n, rho.layout.dim_of(g), k, master_seed,
                                     (k, t, z))
                         for z, g in enumerate(groups, start=1)]
-            factors = _encoded_factors(rho_n, families, copy_groups)
+            factors = _encoded_factors(factor, rho_n.layout, families, copy_groups)
             povm = _pgm(factors, [1.0 / len(factors)] * len(factors))
             # Tr[E_k rho_k] = Tr[F_k^dag E_k F_k]
             samples[f"success_K{k}"].append(float(np.mean(

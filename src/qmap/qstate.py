@@ -12,19 +12,22 @@ Entropies are in bits throughout.
 Validation contract: a `DensityMatrix` is built, and so validated, only where
 a state enters qmap (spec parsing, public constructors) or a function returns
 one; arithmetic inside a function stays on matrices (`conjugate_local`,
-`apply_local`). Every `DensityMatrix` (and every POVM element in
-`qmap.protocols`) gets a PSD decision against its tolerance `tol`, made by
-`psd_violation`. It first tries a Cholesky factorization of
-h + (tol/2) I. A factorization that runs to completion is exact for a
-perturbed matrix h + (tol/2) I + E with ||E||_2 <= (d+1) eps tr(h + (tol/2) I)
-(the componentwise backward-error bound, summed through Cauchy-Schwarz on
-the columns of the factor), so min eig(h) >= -tol/2 - ||E||_2. The
-certificate is accepted only when twice that bound (the factor two covers
-complex arithmetic and higher-order terms) is below tol/2, which leaves
-min eig(h) > -tol; for a unit-trace state this holds for every dimension
-up to 2^14. When the factorization fails, or the bound does not
-fit, the decision falls back to the exact `eigvalsh` comparison, so the
-tolerance and the accept/reject outcome are those of an eigenvalue check.
+`apply_local`). Every raising tolerance check in qmap goes through
+`require(deviation, tol, error, message, *args)`, which raises unless
+deviation <= tol, so a NaN deviation fails every check. `check_psd` is the one
+"Hermitian within HERMITIAN_TOL, PSD within `tol`" check, used by every
+`DensityMatrix`, every POVM element and every `union_bound_check` operator in
+`qmap.protocols`. Its PSD decision against `tol` is made by `psd_violation`.
+It first tries a Cholesky factorization of h + (tol/2) I. A factorization that
+runs to completion is exact for a perturbed matrix h + (tol/2) I + E with
+||E||_2 <= (d+1) eps tr(h + (tol/2) I) (the componentwise backward-error
+bound, summed through Cauchy-Schwarz on the columns of the factor), so min
+eig(h) >= -tol/2 - ||E||_2. The certificate is accepted only when twice that
+bound (the factor two covers complex arithmetic and higher-order terms) is
+below tol/2, which leaves min eig(h) > -tol; for a unit-trace state this holds
+for every dimension up to 2^14. When the factorization fails, or the bound
+does not fit, the decision falls back to the exact `eigvalsh` comparison, so
+the tolerance and the accept/reject outcome are those of an eigenvalue check.
 
 Local operators act by contracting only the acted-on tensor axes
 (`apply_unitary`, `apply_local`, `conjugate_local`); `embed_operator` builds
@@ -57,7 +60,7 @@ class DimensionError(ValueError):
 
 
 class StateValidationError(ValueError):
-    """Matrix fails the density-matrix (or unitary) invariants."""
+    """Matrix fails the density-matrix, POVM or unitary invariants."""
 
 
 def _label_tuple(labels: str | Iterable[str]) -> tuple[str, ...]:
@@ -218,6 +221,30 @@ def psd_violation(h: np.ndarray, tol: float) -> float | None:
     return min_eig if min_eig < -tol else None
 
 
+def require(deviation, tol: float, error, message: str, *args) -> None:
+    """Raise `error(message.format(*args))` unless deviation <= tol, so a NaN
+    deviation fails. The message is formatted only when the check fails."""
+    if not deviation <= tol:
+        raise error(message.format(*args))
+
+
+def check_psd(m: np.ndarray, tol: float, what: str) -> None:
+    """Raise StateValidationError unless the square matrix `m` is Hermitian
+    within HERMITIAN_TOL and PSD within `tol` (`psd_violation` on its Hermitian
+    part); `what` names it in the message."""
+    mh = m.conj().T
+    # a NaN or infinite entry makes the deviation NaN or inf (inf - inf)
+    with np.errstate(invalid="ignore"):
+        dev = np.max(np.abs(m - mh))
+    require(dev, HERMITIAN_TOL, StateValidationError,
+            "{} is not Hermitian within tolerance" if math.isfinite(dev)
+            else "{} has non-finite entries", what)
+    min_eig = psd_violation((m + mh) / 2, tol)
+    if min_eig is not None:
+        raise StateValidationError(
+            f"{what} is not PSD within tolerance: min eigenvalue {min_eig}")
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
     """Hermitian PSD matrix of unit trace bound to a layout.
@@ -234,21 +261,10 @@ class DensityMatrix:
         if m.shape[0] != self.layout.dim:
             raise DimensionError(
                 f"matrix dim {m.shape[0]} != layout dim {self.layout.dim}")
-        mh = m.conj().T
-        # a NaN or infinite entry makes the deviation NaN or inf (inf - inf),
-        # and only this form of the test rejects a NaN; later checks pass it
-        with np.errstate(invalid="ignore"):
-            dev = np.max(np.abs(m - mh))
-        if not dev <= HERMITIAN_TOL:
-            finite = np.isfinite(m).all()
-            raise StateValidationError("matrix is not Hermitian within tolerance" if finite
-                                       else "matrix has non-finite entries")
-        min_eig = psd_violation((m + mh) / 2, PSD_TOL)
-        if min_eig is not None:
-            raise StateValidationError(f"matrix is not PSD: min eigenvalue {min_eig}")
+        check_psd(m, PSD_TOL, "matrix")
         tr = float(np.real(np.trace(m)))
-        if abs(tr - 1) > TRACE_TOL:
-            raise StateValidationError(f"trace {tr} is not 1 within tolerance")
+        require(abs(tr - 1), TRACE_TOL, StateValidationError,
+                "trace {} is not 1 within tolerance", tr)
         m = m.copy()
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
@@ -256,26 +272,6 @@ class DensityMatrix:
     @property
     def dim(self) -> int:
         return self.layout.dim
-
-
-@dataclass(frozen=True)
-class UnitaryMatrix:
-    """Unitary bound to a layout (U^dag U = I within tolerance)."""
-
-    matrix: np.ndarray
-    layout: SystemLayout
-
-    def __post_init__(self):
-        m = _as_square_complex(self.matrix)
-        if m.shape[0] != self.layout.dim:
-            raise DimensionError(
-                f"matrix dim {m.shape[0]} != layout dim {self.layout.dim}")
-        dev = np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0])))
-        if dev > UNITARY_TOL:
-            raise StateValidationError(f"not unitary: max |U^dag U - I| = {dev}")
-        m = m.copy()
-        m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
 
 
 def maximally_mixed(layout: SystemLayout) -> DensityMatrix:
@@ -394,13 +390,9 @@ def conjugate_local(m, op, on: Sequence[str], layout: SystemLayout) -> np.ndarra
 
 
 def apply_unitary(s: DensityMatrix, u, on: Sequence[str]) -> DensityMatrix:
-    """Conjugate the state by a unitary acting on the `on` factors.
-
-    `u` may be a UnitaryMatrix or a bare matrix; `on` fixes the factor order
-    the unitary is written in.
-    """
-    um = u.matrix if isinstance(u, UnitaryMatrix) else u
-    return DensityMatrix(conjugate_local(s.matrix, um, on, s.layout), s.layout)
+    """Conjugate the state by a unitary acting on the `on` factors; `on` fixes
+    the factor order the unitary is written in."""
+    return DensityMatrix(conjugate_local(s.matrix, u, on, s.layout), s.layout)
 
 
 def partial_trace(s: DensityMatrix, keep: str | Iterable[str]) -> DensityMatrix:

@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from itertools import permutations
 from typing import Iterable, Sequence
 
 import numpy as np
 from scipy.optimize import linprog
 
-from .qstate import DensityMatrix, LabelError, entropy, label_groups, partial_trace
+from .qstate import DensityMatrix, LabelError, entropy, label_groups, partial_trace, require
 
 ENTROPIC_TOL = 1e-9
 
@@ -253,10 +254,9 @@ def region_tables(rho: DensityMatrix, senders: Sequence, b: Iterable[str],
         # I(A:R|E) = S(A|E) - S(A|RE), as qstate.conditional_mutual_information
         cmi = _conditional(s, a_g, set(e)) - _conditional(s, a_g, rest | set(e))
         diff = chat.at(mask) - dhat.at(mask)
-        if not abs(cmi - diff) <= ENTROPIC_TOL:  # a NaN fails too
-            raise InvariantError(
-                f"region identity violated at {subsets_of(mask)}: "
-                f"I = {cmi}, chat - dhat = {diff}")
+        require(abs(cmi - diff), ENTROPIC_TOL, InvariantError,
+                "region identity violated at {}: I = {}, chat - dhat = {}",
+                subsets_of(mask), cmi, diff)
         bounds[mask] = cmi
     return chat, dhat, RateRegion(z, tuple(bounds), "<=")
 
@@ -301,12 +301,13 @@ def check_set_function_properties(f: SetFunction, kind: str,
     n = 1 << f.z_count
     zero_ok = f.values[0] == 0.0
     nonneg_ok, mono_ok = True, True
+    # each test is written so that a NaN value fails it
     if kind == "subadditive-monotone":
         nonneg_ok = all(v >= -tol for v in f.values)
         for mask in range(n):
             for z in range(f.z_count):
                 if not mask >> z & 1:
-                    if f.at(mask) > f.at(mask | 1 << z) + tol:
+                    if not f.at(mask) <= f.at(mask | 1 << z) + tol:
                         mono_ok = False
     mod_ok = True
     worst_pair = None
@@ -316,7 +317,7 @@ def check_set_function_properties(f: SetFunction, kind: str,
             gap = (f.at(m1) + f.at(m2)) - (f.at(m1 | m2) + f.at(m1 & m2))
             if kind == "superadditive":
                 gap = -gap
-            if gap < -tol:
+            if not gap >= -tol:
                 mod_ok = False
             if gap < worst:
                 worst = gap
@@ -398,6 +399,11 @@ def membership(region: RateRegion, r: Sequence[float], slack: float) -> Membersh
     return MembershipResult(worst_margin >= -slack, worst_subset, float(worst_margin))
 
 
+def _below(x: float) -> float:
+    """The largest float below x, so that y <= _below(x) is y < x."""
+    return math.nextafter(x, -math.inf)
+
+
 def separate(f: SetFunction, g: SetFunction, strict: bool = False) -> tuple[float, ...]:
     """Vector R with g(A) <= sum_A R_z <= f(A) for every nonempty A.
 
@@ -413,11 +419,11 @@ def separate(f: SetFunction, g: SetFunction, strict: bool = False) -> tuple[floa
     z = f.z_count
     n = 1 << z
     for mask in range(1, n):
-        gap = f.at(mask) - g.at(mask)
-        if gap < 0 or (strict and gap <= 0):
-            raise SeparationError(
-                f"sandwich condition fails at {subsets_of(mask)}: "
-                f"g = {g.at(mask)}, f = {f.at(mask)}", subsets_of(mask))
+        subset = subsets_of(mask)
+        require(g.at(mask), _below(f.at(mask)) if strict else f.at(mask),
+                partial(SeparationError, subset=subset),
+                "sandwich condition fails at {}: g = {}, f = {}",
+                subset, g.at(mask), f.at(mask))
     if strict:
         delta = min((f.at(m) - g.at(m)) / (2 * bin(m).count("1"))
                     for m in range(1, n))
@@ -455,11 +461,10 @@ def rate_split(r: Sequence[float], chat: SetFunction, dhat: SetFunction
     shifted = [0.0] * (1 << z)
     for mask in range(1, 1 << z):
         total_r = math.fsum(r[i] for i in range(z) if mask >> i & 1)
-        if total_r >= chat.at(mask) - dhat.at(mask):
-            raise SeparationError(
-                f"rates not strictly inside the region at {subsets_of(mask)}: "
-                f"sum r = {total_r}, bound = {chat.at(mask) - dhat.at(mask)}",
-                subsets_of(mask))
+        bound, subset = chat.at(mask) - dhat.at(mask), subsets_of(mask)
+        require(total_r, _below(bound), partial(SeparationError, subset=subset),
+                "rates not strictly inside the region at {}: sum r = {}, bound = {}",
+                subset, total_r, bound)
         shifted[mask] = chat.at(mask) - total_r
     d = separate(SetFunction(z, tuple(shifted)), dhat, strict=True)
     c = tuple(d[i] + r[i] for i in range(z))

@@ -4,9 +4,10 @@ never for an intermediate conjugation.
 The differential test keeps the dropped intermediate check as a test: the
 array kernel `conjugate_local` gives, bit for bit, the matrix of
 `apply_unitary`, and that matrix passes `DensityMatrix` validation. The
-count tests wrap `qstate.psd_violation`, which only `DensityMatrix` reaches
-through `qstate`'s namespace (`Povm` uses its own import), and count the
-validations of `_mix`, `encode` and `sequential_decoder`.
+count tests wrap `qstate.check_psd`, keep only the calls that check a
+`"matrix"` (a `DensityMatrix`; POVM elements and union-bound operators go
+through the same check under other names), and count the validations of
+`_mix`, `encode` and `sequential_decoder`.
 """
 
 from functools import reduce
@@ -66,13 +67,14 @@ def test_conjugate_local_is_apply_unitary_and_stays_a_state(case):
 def validations(monkeypatch):
     """Sizes of the matrices `DensityMatrix` has PSD-checked since the fixture was set up."""
     calls = []
-    check = qstate.psd_violation
+    check = qstate.check_psd
 
-    def counted(h, tol):
-        calls.append(h.shape[0])
-        return check(h, tol)
+    def counted(m, tol, what):
+        if what == "matrix":
+            calls.append(m.shape[0])
+        return check(m, tol, what)
 
-    monkeypatch.setattr(qstate, "psd_violation", counted)
+    monkeypatch.setattr(qstate, "check_psd", counted)
     return calls
 
 

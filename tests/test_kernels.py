@@ -18,6 +18,7 @@ from qmap.protocols import (
     _encoded_factors,
     _pgm,
     _psd_power,
+    _sqrt_factor,
     derived_rng,
     encode,
     haar_unitary,
@@ -183,7 +184,8 @@ class TestGramPgm:
         families = [sample_family(z, 1, 2, 2, 4) for z in (1, 2)]
         groups = [("A1",), ("A2",)]
         k_tuples = list(product(range(2), range(2)))
-        povm = _pgm(_encoded_factors(rho, families, groups), [0.25] * 4)
+        povm = _pgm(_encoded_factors(_sqrt_factor(rho.matrix), rho.layout, families, groups),
+                    [0.25] * 4)
         bare = pgm_decoder(encode(rho, families, groups, k_tuples), [0.25] * 4)
         assert len(povm) == len(bare)
         for a, b in zip(povm.elements, bare.elements):
@@ -213,7 +215,8 @@ class TestSeed22Regression:
         eig = np.linalg.eigvalsh(avg)
         assert eig[0] < 1e-9 * eig[-1]  # the ill-conditioned case
         bare = pgm_decoder(encoded, [1 / 16] * 16)
-        for povm in (_pgm(_encoded_factors(rho_n, families, groups), [1 / 16] * 16), bare):
+        factors = _encoded_factors(_sqrt_factor(rho_n.matrix), rho_n.layout, families, groups)
+        for povm in (_pgm(factors, [1 / 16] * 16), bare):
             for el in povm.elements:
                 assert np.min(np.linalg.eigvalsh(el)) > -1e-12
             assert np.max(np.abs(sum(povm.elements) - np.eye(16))) < 1e-12

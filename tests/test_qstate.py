@@ -11,7 +11,6 @@ from qmap.qstate import (
     LabelError,
     StateValidationError,
     SystemLayout,
-    UnitaryMatrix,
     apply_unitary,
     conditional_entropy,
     conditional_mutual_information,
@@ -83,15 +82,6 @@ class TestDensityMatrix:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
             DensityMatrix(np.eye(3) / 3, AB)
-
-
-class TestUnitaryMatrix:
-    def test_valid(self):
-        UnitaryMatrix(np.eye(4), AB)
-
-    def test_invalid(self):
-        with pytest.raises(StateValidationError):
-            UnitaryMatrix(np.eye(4) * 1.01, AB)
 
 
 class TestTensorAndPermute:
