@@ -283,13 +283,22 @@ def _encoded_factors(factor: np.ndarray, layout: SystemLayout,
                              lambda f, u, on: apply_local(f, u, on, layout)))
 
 
+def _running_sum(terms: Iterable[np.ndarray]) -> np.ndarray:
+    """sum(terms) added in place: the first `+=` on 0 makes the one new array,
+    as sum() does, so the bits are sum()'s; each term is freed before the next."""
+    acc = 0
+    for term in terms:
+        acc += term
+        del term
+    return acc
+
+
 def _mix(rho: DensityMatrix, unitaries: Sequence[np.ndarray],
          on: Sequence[str]) -> DensityMatrix:
     """Uniform mixture of rho conjugated by each unitary on the `on` factors."""
-    acc = np.zeros_like(rho.matrix)
-    for u in unitaries:
-        acc = acc + conjugate_local(rho.matrix, u, on, rho.layout)
-    return DensityMatrix(acc / len(unitaries), rho.layout)
+    acc = _running_sum(conjugate_local(rho.matrix, u, on, rho.layout) for u in unitaries)
+    acc /= len(unitaries)
+    return DensityMatrix(acc, rho.layout)
 
 
 def _randomization_target(rho: DensityMatrix, senders: Sequence[str]) -> DensityMatrix:
@@ -337,7 +346,7 @@ class Povm:
             if el.shape != (d, d):
                 raise DimensionError("POVM elements must share one dimension")
             check_psd(el, POVM_PSD_TOL, "POVM element")
-            total = total + el
+            total += el
         dev = np.max(np.abs(total - np.eye(d)))
         require(dev, POVM_SUM_TOL, StateValidationError,
                 "POVM completeness failure: max |sum - I| = {}", dev)
@@ -395,19 +404,19 @@ def _pgm(factors: Sequence[np.ndarray], priors: Sequence[float],
         raise ValueError("need one prior per state")
     total = sum(priors)
     require(abs(total - 1), 1e-9, ValueError, "priors must sum to 1, got {}", total)
-    avg = sum(p * (f @ f.conj().T) for p, f in zip(priors, factors))
+    avg = _running_sum(p * (f @ f.conj().T) for p, f in zip(priors, factors))
     if np.max(np.abs(avg)) == 0:
         raise ValueError("degenerate ensemble: average state is zero")
     inv_sqrt = _psd_power(avg, -0.5, cutoff=PINV_CUTOFF)
     bs = [math.sqrt(p) * (inv_sqrt @ f) for p, f in zip(priors, factors)]
-    refine = _psd_power(sum(b @ b.conj().T for b in bs), -0.5, cutoff=PINV_CUTOFF)
+    refine = _psd_power(_running_sum(b @ b.conj().T for b in bs), -0.5, cutoff=PINV_CUTOFF)
     # each B_k is overwritten by its element, so one list of d x d matrices
     # is alive at a time
     elements = bs
     for i, b in enumerate(bs):
         c = refine @ b
         elements[i] = c @ c.conj().T
-    completion = np.eye(len(avg)) - sum(elements)
+    completion = np.eye(len(avg)) - _running_sum(elements)
     if fold_completion:
         elements = [el + completion / len(elements) for el in elements]
     elif np.max(np.abs(completion)) > POVM_SUM_TOL:
@@ -491,7 +500,7 @@ def _outcome_pattern_sum(stages: Sequence[tuple[Sequence[str], tuple[np.ndarray,
     O_z^b, so Z stages cost 2Z conjugations, not 2^Z products."""
     lam = np.eye(layout.dim, dtype=complex)
     for on, pair in reversed(stages):
-        lam = sum(conjugate_local(lam, op.conj().T, on, layout) for op in pair)
+        lam = _running_sum(conjugate_local(lam, op.conj().T, on, layout) for op in pair)
     return lam
 
 

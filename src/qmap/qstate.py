@@ -2,7 +2,8 @@
 
 States, unitaries, partial traces, entropic quantities and trace norms.
 All values are immutable after construction and every operation is a pure
-function, so everything here is safe to share across threads. A
+function (`psd_violation` alone writes to its argument, and restores it), so
+everything here is safe to share across threads. A
 `SystemLayout` caches its metadata (labels, dims, dim, label positions) and
 one contraction plan per `on` tuple; each is a deterministic function of
 `factors`, so two threads that fill the same entry store equal values.
@@ -28,6 +29,9 @@ below tol/2, which leaves min eig(h) > -tol; for a unit-trace state this holds
 for every dimension up to 2^14. When the factorization fails, or the bound
 does not fit, the decision falls back to the exact `eigvalsh` comparison, so
 the tolerance and the accept/reject outcome are those of an eigenvalue check.
+A check holds one Hermitian part beyond its input (built in place in the array
+its Hermitian deviation was computed in, and shifted on its diagonal), plus
+numpy's Cholesky factor and LAPACK's buffers.
 
 Local operators act by contracting only the acted-on tensor axes
 (`apply_unitary`, `apply_local`, `conjugate_local`); `embed_operator` builds
@@ -206,17 +210,22 @@ def psd_violation(h: np.ndarray, tol: float) -> float | None:
     A Cholesky factorization of h + (tol/2) I certifies min eig(h) > -tol
     when its backward-error bound fits in the other tol/2 (see the module
     docstring); otherwise the minimum eigenvalue is computed with `eigvalsh`.
+    The shift is made on `h`'s own diagonal and undone exactly before it
+    returns, so `h` must be writable and not shared.
     """
     d = h.shape[0]
-    shifted = h.copy()
-    shifted.flat[::d + 1] += tol / 2
-    error_bound = 2 * (d + 1) * np.finfo(float).eps * np.sum(np.abs(np.diag(shifted)))
+    diag = h.diagonal().copy()
+    shifted = diag + tol / 2
+    error_bound = 2 * (d + 1) * np.finfo(float).eps * np.sum(np.abs(shifted))
     if error_bound < tol / 2:
+        h.flat[::d + 1] = shifted
         try:
-            np.linalg.cholesky(shifted)
+            np.linalg.cholesky(h)
             return None
         except np.linalg.LinAlgError:
             pass
+        finally:
+            h.flat[::d + 1] = diag
     min_eig = float(np.min(np.linalg.eigvalsh(h)))
     return min_eig if min_eig < -tol else None
 
@@ -228,18 +237,31 @@ def require(deviation, tol: float, error, message: str, *args) -> None:
         raise error(message.format(*args))
 
 
+def _check_hermitian(m: np.ndarray, what: str) -> np.ndarray:
+    """Raise StateValidationError unless max |m - m^dag| <= HERMITIAN_TOL, so a
+    NaN or infinite entry fails; `what` names `m` in the message. Returns the
+    d x d array the deviation was computed in, for the caller to reuse."""
+    scratch = np.conjugate(m.T, dtype=np.result_type(m, 0.5))
+    # a NaN or infinite entry makes the deviation NaN or inf (inf - inf)
+    with np.errstate(invalid="ignore"):
+        scratch -= m
+        dev = np.max(np.abs(scratch))
+    require(dev, HERMITIAN_TOL, StateValidationError,
+            "{} is not Hermitian within tolerance" if math.isfinite(dev)
+            else "{} has non-finite entries", what)
+    return scratch
+
+
 def check_psd(m: np.ndarray, tol: float, what: str) -> None:
     """Raise StateValidationError unless the square matrix `m` is Hermitian
     within HERMITIAN_TOL and PSD within `tol` (`psd_violation` on its Hermitian
     part); `what` names it in the message."""
-    mh = m.conj().T
-    # a NaN or infinite entry makes the deviation NaN or inf (inf - inf)
-    with np.errstate(invalid="ignore"):
-        dev = np.max(np.abs(m - mh))
-    require(dev, HERMITIAN_TOL, StateValidationError,
-            "{} is not Hermitian within tolerance" if math.isfinite(dev)
-            else "{} has non-finite entries", what)
-    min_eig = psd_violation((m + mh) / 2, tol)
+    h = _check_hermitian(m, what)
+    # the Hermitian part (m + m^dag) / 2, built in place in the scratch array
+    np.conjugate(m.T, out=h)
+    h += m
+    h /= 2
+    min_eig = psd_violation(h, tol)
     if min_eig is not None:
         raise StateValidationError(
             f"{what} is not PSD within tolerance: min eigenvalue {min_eig}")
@@ -454,13 +476,17 @@ def conditional_mutual_information(s: DensityMatrix, a: Iterable[str],
 
 
 def trace_norm(x) -> float:
-    """Sum of singular values, ||X||_1."""
+    """||X||_1 of a matrix that is Hermitian within HERMITIAN_TOL: the sum of
+    the absolute eigenvalues. `eigvalsh` reads one triangle only, so a
+    non-Hermitian (or non-finite) X raises StateValidationError."""
     x = _as_square_complex(x)
-    return float(np.sum(np.linalg.svd(x, compute_uv=False)))
+    _check_hermitian(x, "trace-norm argument")
+    return float(np.sum(np.abs(np.linalg.eigvalsh(x))))
 
 
 def trace_distance(a, b) -> float:
-    """(1/2)||a - b||_1 between two states or matrices of equal dimension."""
+    """(1/2)||a - b||_1 between two states or Hermitian matrices of equal
+    dimension."""
     ma = a.matrix if isinstance(a, DensityMatrix) else _as_square_complex(a)
     mb = b.matrix if isinstance(b, DensityMatrix) else _as_square_complex(b)
     if ma.shape != mb.shape:

@@ -319,7 +319,8 @@ def check_set_function_properties(f: SetFunction, kind: str,
                 gap = -gap
             if not gap >= -tol:
                 mod_ok = False
-            if gap < worst:
+            # the first NaN gap is the worst, and no later gap replaces it
+            if gap < worst or math.isnan(gap) and not math.isnan(worst):
                 worst = gap
                 worst_pair = (subsets_of(m1), subsets_of(m2))
     return PropertyReport(kind, zero_ok, nonneg_ok, mono_ok, mod_ok,

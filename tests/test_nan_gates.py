@@ -1,9 +1,10 @@
 """A NaN fails every tolerance gate.
 
 Each raising check goes through `qstate.require` (deviation <= tol) or
-`qstate.check_psd`, so a NaN deviation raises the check's own error class,
-not a subclass or a later numpy error. The set-function property checks
-return a report instead of raising; a NaN fails each of their tests. CI runs
+`qstate.check_psd`, whose Hermitian check `trace_norm` shares, so a NaN
+deviation raises the check's own error class, not a subclass or a later numpy
+error. The set-function property checks return a report instead of raising; a
+NaN fails each of their tests and is reported as the worst violation. CI runs
 this file with `-W error::RuntimeWarning`, so no numpy "invalid value"
 warning may come before the intended error.
 """
@@ -20,6 +21,7 @@ from qmap.qstate import (
     SystemLayout,
     check_psd,
     random_density,
+    trace_norm,
 )
 from qmap.regions import (
     SeparationError,
@@ -70,6 +72,8 @@ GATES = {
     "cq-probs": (lambda: cq_state([NAN, 0.5]), ValueError),
     "check-psd-inf": (lambda: check_psd(np.full((2, 2), np.inf), 1e-10, "matrix"),
                       StateValidationError),
+    "trace-norm-nan": (lambda: trace_norm(np.diag([NAN, 0.5])), StateValidationError),
+    "trace-norm-inf": (lambda: trace_norm(np.full((2, 2), np.inf)), StateValidationError),
 }
 
 
@@ -81,7 +85,7 @@ def test_a_non_finite_value_raises_the_gates_own_error(gate):
     assert info.type is error
     if error is SeparationError:
         assert info.value.subset == (1,)
-    if gate == "check-psd-inf":
+    if gate in ("check-psd-inf", "trace-norm-inf"):
         assert "non-finite" in str(info.value)
 
 
@@ -94,3 +98,11 @@ def test_a_nan_fails_every_set_function_property_test(kind, failing):
     assert not report.passed
     assert [name for name in ("nonnegative", "monotone", "modular_inequality")
             if not getattr(report, name)] == failing
+
+
+@pytest.mark.parametrize("kind", ["superadditive", "subadditive-monotone"])
+def test_a_nan_gap_is_the_reported_worst_violation(kind):
+    # the first pair whose gap involves f({1}) = NaN is ((), (1,))
+    report = check_set_function_properties(SetFunction(2, (0.0, NAN, 1.0, 1.5)), kind)
+    assert report.worst_pair == ((), (1,))
+    assert math.isnan(report.worst_violation)

@@ -213,6 +213,22 @@ class TestNorms:
         s = random_density(AB, 4, 9)
         assert trace_distance(s, s) < 1e-12
 
+    @settings(max_examples=40, deadline=None)
+    @given(qubits=st.integers(1, 6), ranks=st.tuples(st.integers(1, 64), st.integers(1, 64)),
+           seed=st.integers(0, 10**6))
+    def test_trace_norm_matches_singular_values(self, qubits, ranks, seed):
+        layout = SystemLayout(tuple((f"Q{i}", 2) for i in range(qubits)))
+        rng = np.random.default_rng(seed)
+        a, b = (random_density(layout, min(r, layout.dim), rng) for r in ranks)
+        diff = a.matrix - b.matrix
+        reference = float(np.sum(np.linalg.svd(diff, compute_uv=False)))
+        assert abs(trace_norm(diff) - reference) < 1e-12
+
+    def test_trace_norm_refuses_a_non_hermitian_matrix(self):
+        # ||X||_1 = 1, while eigvalsh on its lower triangle alone would give 0
+        with pytest.raises(StateValidationError, match="not Hermitian"):
+            trace_norm(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
 
 class TestRandomDensity:
     def test_deterministic_in_seed(self):

@@ -1,0 +1,58 @@
+"""Full-size temporaries of the Hermitian kernels.
+
+Each limit is the tracemalloc peak above the memory allocated before the call,
+in units of one d x d complex matrix, at d = 1024 on ten qubit factors.
+tracemalloc sees numpy's arrays, not LAPACK's work buffers. A `DensityMatrix`
+check holds one Hermitian part and the Cholesky factor, and the state then
+keeps one copy of its input; `_mix` holds its accumulator and
+`conjugate_local`'s two temporaries; `trace_norm` holds the Hermitian
+deviation and its absolute value.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from qmap.protocols import _mix, haar_unitary
+from qmap.qstate import DensityMatrix, SystemLayout, random_density, trace_norm
+
+LAYOUT = SystemLayout(tuple((f"Q{i}", 2) for i in range(10)))
+MATRIX_BYTES = LAYOUT.dim ** 2 * np.dtype(complex).itemsize
+
+
+def _density_matrix(a, b):
+    matrix = np.array(a.matrix)
+    return lambda: DensityMatrix(matrix, LAYOUT)
+
+
+def _mix_four_unitaries(a, b):
+    rng = np.random.default_rng(0)
+    unitaries = [haar_unitary(2, rng) for _ in range(4)]
+    return lambda: _mix(a, unitaries, ["Q0"])
+
+
+def _trace_norm(a, b):
+    diff = a.matrix - b.matrix
+    return lambda: trace_norm(diff)
+
+
+KERNELS = {
+    "density-matrix": (_density_matrix, 3.0),
+    "mix-four-unitaries": (_mix_four_unitaries, 4.0),
+    "trace-norm": (_trace_norm, 2.0),
+}
+
+
+@pytest.mark.parametrize("kernel", sorted(KERNELS))
+def test_peak_temporaries_stay_within_the_limit(kernel):
+    make, limit = KERNELS[kernel]
+    call = make(random_density(LAYOUT, 4, 0), random_density(LAYOUT, 4, 1))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (peak - before) / MATRIX_BYTES <= limit
