@@ -209,15 +209,3 @@ def resolve_state_spec(obj: dict) -> ResolvedSpec:
     except ValueError as exc:
         raise SpecError(str(exc), "$.matrix") from exc
     return _with_roles(obj, ResolvedSpec(state, None, (), ()))  # senders has no default
-
-
-def state_spec_to_json(spec: ResolvedSpec) -> dict:
-    """Explicit (layout + matrix) JSON form; round-trips entrywise exactly."""
-    m = spec.state.matrix
-    return {
-        "layout": [[lab, d] for lab, d in spec.state.layout.factors],
-        "matrix": [[[float(v.real), float(v.imag)] for v in row] for row in m],
-        "senders": [list(g) for g in spec.senders],
-        "receiver": list(spec.receiver),
-        "eavesdropper": list(spec.eavesdropper),
-    }

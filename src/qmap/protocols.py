@@ -17,9 +17,8 @@ import io
 import math
 import os
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import product
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -103,12 +102,6 @@ def _check_index_space(bits: float) -> None:
     if bits > qubits:
         shown = int(bits) if bits == int(bits) else f"{bits:g}"
         raise BudgetError(f"index space 2^{shown} exceeds budget {2 ** qubits}")
-
-
-def _n_copies(rho: DensityMatrix, n: int) -> DensityMatrix:
-    """rho^(x)n, after checking its dimension against the budget."""
-    check_dim_budget(rho.dim, n)
-    return tensor_power(rho, n)
 
 
 def derived_rng(master_seed: int, *path: int) -> np.random.Generator:
@@ -408,13 +401,15 @@ def _pgm(factors: Sequence[np.ndarray], priors: Sequence[float],
     if np.max(np.abs(avg)) == 0:
         raise ValueError("degenerate ensemble: average state is zero")
     inv_sqrt = _psd_power(avg, -0.5, cutoff=PINV_CUTOFF)
-    bs = [math.sqrt(p) * (inv_sqrt @ f) for p, f in zip(priors, factors)]
+    bs = [inv_sqrt @ f for f in factors]
+    for b, p in zip(bs, priors):
+        b *= math.sqrt(p)
     refine = _psd_power(_running_sum(b @ b.conj().T for b in bs), -0.5, cutoff=PINV_CUTOFF)
-    # each B_k is overwritten by its element, so one list of d x d matrices
-    # is alive at a time
+    # each B_k is dropped before its element is formed in its slot, so one
+    # list of factor-sized matrices is alive at a time
     elements = bs
-    for i, b in enumerate(bs):
-        c = refine @ b
+    for i in range(len(bs)):
+        c, bs[i] = refine @ bs[i], None
         elements[i] = c @ c.conj().T
     completion = np.eye(len(avg)) - _running_sum(elements)
     if fold_completion:
@@ -484,6 +479,50 @@ def pgm_success_table(factor: np.ndarray, layout: SystemLayout,
     require(-low, POVM_PSD_TOL, StateValidationError, message, low, high)
     require(high, 1 + POVM_SUM_TOL, StateValidationError, message, low, high)
     return table
+
+
+def _message_factors(factor: np.ndarray, layout: SystemLayout, n: int,
+                     families: Sequence[UnitaryFamily], groups: Sequence[Sequence[str]],
+                     blocks: np.ndarray) -> list[np.ndarray]:
+    """Per message m, the factors U_k F^(x)n of the L index tuples k in row m of
+    `blocks` side by side, filled from one encoding walk: F_m F_m^dag = L rho_m."""
+    factor_n = factor
+    for _ in range(n - 1):
+        factor_n = np.kron(factor_n, factor)
+    width = factor_n.shape[1]
+    # `blocks` holds each flat index once, so argsort gives each one's (row, column)
+    rows, cols = np.divmod(np.argsort(blocks, axis=None), blocks.shape[1])
+    out = [np.empty((len(factor_n), blocks.shape[1] * width), dtype=complex)
+           for _ in range(len(blocks))]
+    walk = _encoded_factors(factor_n, layout.power(n), families,
+                            [SystemLayout.copy_major(g, n) for g in groups])
+    for k, f in enumerate(walk):
+        out[rows[k]][:, cols[k] * width:(cols[k] + 1) * width] = f
+    return out
+
+
+def _read_success(elements: Sequence[np.ndarray], factors: Sequence[np.ndarray],
+                  size: int) -> np.ndarray:
+    """Tr[E_m rho_m] = Tr[F_m^dag E_m F_m] / L for each message factor F_m, L = `size`."""
+    return np.array([np.real(np.vdot(f, e @ f)) for e, f in zip(elements, factors)]) / size
+
+
+def _pgm_message_success(factor: np.ndarray, layout: SystemLayout, n: int,
+                         families: Sequence[UnitaryFamily],
+                         groups: Sequence[Sequence[str]], blocks: np.ndarray) -> np.ndarray:
+    """Tr[E_m rho_m] for each message m, which mixes the index tuples in row m
+    of `blocks`, under the uniform-prior PGM, from F F^dag = rho on `layout`
+    cut at RANK_CUTOFF. That PGM summed over a message's tuples is the PGM of
+    the message states (Hausladen, Jozsa, Schumacher, Westmoreland & Wootters
+    1996). For N tuples of rank r^n, the Gram path (`pgm_success_table`,
+    summed over the decoded block and averaged over the encoded one) runs
+    when N r^n <= d^n; otherwise `_pgm` forms one element per message."""
+    if blocks.size * factor.shape[1] ** n <= layout.dim ** n:
+        table = pgm_success_table(factor, layout, families, groups)
+        return table[blocks[:, :, None], blocks[:, None, :]].sum(axis=(1, 2)) / blocks.shape[1]
+    factors = _message_factors(factor, layout, n, families, groups, blocks)
+    povm = _pgm(factors, [1.0 / len(factors)] * len(factors))
+    return _read_success(povm.elements, factors, blocks.shape[1])
 
 
 def _kraus_pair(root: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -646,15 +685,9 @@ def _mean_estimates(samples: dict[str, tuple[float, ...]]) -> dict[str, float]:
 
 @dataclass(frozen=True)
 class CodeSpec:
-    """Full code: per-sender unitary families with block structure and a
-    coarse-grained decoder, one POVM element per message tuple (a trailing
-    completion element may follow them).
-
-    The decoder is given as a `Povm` or as a function that builds one, called
-    on the first access of `decoder`. `success_table`, when present, is the
-    index-level table P[k', k] = Tr[E_k' rho_k] of `pgm_success_table`, from
-    which `evaluate_code` reads decoding success without the decoder.
-    """
+    """Full code: per-sender unitary families with block structure, and the
+    success probability of each message under its decoder, in flat message
+    order."""
 
     n: int
     z_count: int
@@ -664,21 +697,16 @@ class CodeSpec:
     message_counts: tuple[int, ...]
     block_sizes: tuple[int, ...]
     families: tuple[UnitaryFamily, ...]
-    _decoder: Povm | Callable[[], Povm]
+    success: tuple[float, ...]
     family_kind: str
     decoder_kind: str
     master_seed: int | None
-    success_table: np.ndarray | None = None
 
     def __post_init__(self):
         for fam, m, l in zip(self.families, self.message_counts, self.block_sizes):
             if fam.size != m * l:
                 raise ValueError(
                     f"family size {fam.size} != L*M = {l}*{m} for sender {fam.z}")
-
-    @cached_property
-    def decoder(self) -> Povm:
-        return self._decoder if isinstance(self._decoder, Povm) else self._decoder()
 
     @property
     def message_space(self) -> int:
@@ -710,23 +738,25 @@ def build_qmap_code(rho: DensityMatrix, senders: Sequence, b: Sequence[str],
                     e: Sequence[str], n: int, rates: Sequence[float],
                     splits: tuple[Sequence[float], Sequence[float]],
                     master_seed, family: str = "haar", decoder: str = "pgm") -> CodeSpec:
-    """Construct a full code from a rate tuple and its (C, D) split.
+    """Construct a full code from a rate tuple and its (C, D) split, with the
+    success of each message under its decoder.
 
-    Message and block counts are 2^ceil(n R_z) and 2^ceil(n D_z); each
-    message's encoding is the uniform mixture of its block of family
-    unitaries, and the decoder coarse-grains the index-level decoder over
-    blocks. The split must satisfy C_z = D_z + R_z within 1e-9. Before any
-    family is drawn, the message space is bounded, and so is the index space
+    Message and block counts are 2^ceil(n R) and 2^ceil(n D) per sender, so
+    each message mixes its block of family unitaries. Each sender needs one
+    rate and one (C, D) pair with C = D + R within 1e-9. Before any family
+    is drawn, the message space is bounded, and so is the index space
     (messages times blocks, which sizes every decoder) by 2^budget_qubits().
-
-    The decoder is built on the first access of `code.decoder`. A PGM code
-    with N index tuples on a state of rank r also carries the table of
-    `pgm_success_table` when N r^n <= d^n, so that its Gram matrix is no
-    larger than one n-copy state.
+    A "pgm" code is scored by `_pgm_message_success`; a "sequential" code
+    sums `sequential_decoder`'s elements over each block and reads them on
+    the same message factors.
     """
     groups = label_groups(senders)
     c_rates, d_rates = splits
     rates = [float(r) for r in rates]
+    if decoder not in ("pgm", "sequential"):
+        raise ValueError(f"unknown decoder kind {decoder!r}")
+    if len(rates) != len(groups):
+        raise ValueError(f"rates must have one entry per sender, got {len(rates)}")
     if len(c_rates) != len(groups) or len(d_rates) != len(groups):
         raise ValueError("splits must have one (C, D) pair per sender")
     for cz, dz, rz in zip(c_rates, d_rates, rates):
@@ -746,34 +776,20 @@ def build_qmap_code(rho: DensityMatrix, senders: Sequence, b: Sequence[str],
                 for z, (m, l, g) in enumerate(zip(message_counts, block_sizes, groups),
                                               start=1)]
 
-    table = None
+    blocks = _message_blocks(message_counts, block_sizes)
+    factor = _sqrt_factor(rho.matrix, cutoff=RANK_CUTOFF)
     if decoder == "pgm":
-        def index_elements():
-            rho_n = _n_copies(rho, n)
-            factors = _encoded_factors(_sqrt_factor(rho_n.matrix), rho_n.layout, families,
-                                       copy_groups)
-            return _pgm(factors, [1.0 / len(factors)] * len(factors)).elements
-        factor = _sqrt_factor(rho.matrix, cutoff=RANK_CUTOFF)
-        if math.prod(f.size for f in families) * factor.shape[1] ** n <= rho.dim ** n:
-            table = pgm_success_table(factor, rho.layout, families, groups)
-    elif decoder == "sequential":
-        def index_elements():
-            povm, _ = sequential_decoder(_n_copies(rho, n), copy_groups,
-                                         list(b_copies) + list(e_copies), families)
-            return povm.elements
+        success = _pgm_message_success(factor, rho.layout, n, families, groups, blocks)
     else:
-        raise ValueError(f"unknown decoder kind {decoder!r}")
-
-    def coarse_decoder() -> Povm:
-        elements = index_elements()
-        blocks = _message_blocks(message_counts, block_sizes)
-        coarse = [sum(elements[k] for k in row) for row in blocks]
-        # a PGM's trailing completion element stays the last outcome
-        return Povm(tuple(coarse) + tuple(elements[blocks.size:]))
-
+        povm, _ = sequential_decoder(tensor_power(rho, n), copy_groups,
+                                     b_copies + e_copies, families)
+        success = _read_success(
+            [_running_sum(povm.elements[k] for k in row) for row in blocks],
+            _message_factors(factor, rho.layout, n, families, groups, blocks),
+            blocks.shape[1])
     return CodeSpec(n, len(groups), copy_groups, b_copies, e_copies,
                     tuple(message_counts), tuple(block_sizes), tuple(families),
-                    coarse_decoder, family, decoder, master_seed, table)
+                    tuple(float(v) for v in success), family, decoder, master_seed)
 
 
 def _message_states(code: CodeSpec, rho_n: DensityMatrix):
@@ -790,16 +806,13 @@ def evaluate_code(code: CodeSpec, rho: DensityMatrix) -> SimulationReport:
     """Decoding error and leakage of a code, exactly over its whole message
     space (at most MAX_MESSAGES messages, else BudgetError).
 
-    Leakage and randomization distance read only the senders-plus-
-    eavesdropper marginal of each message, and the sender unitaries commute
-    with the trace over B. So only those marginals are kept: their mean is
-    theta's average state, and the randomization target is that mean with
-    its sender factors maximally mixed. A code with a `success_table` even
-    mixes its messages on the marginal's n-th tensor power, so two-bell runs
-    at n = 3 on 64-dim states. A code without one (sequential codes, and
-    mixed states with large ensembles) mixes on rho^(x)n, because its
-    decoder's elements need the full message states. The d^n budget is
-    checked up front either way, so n = 4 is refused.
+    Success is the code's own `success`. Leakage and randomization distance
+    read only the senders-plus-eavesdropper marginal of each message, and
+    the sender unitaries commute with the trace over B, so every code mixes
+    its messages on that marginal's n-th tensor power: two-bell runs at
+    n = 3 on 64-dim states. Their mean is theta's average state, and the
+    randomization target is that mean with its sender factors maximally
+    mixed. The d^n budget is still checked up front, so n = 4 is refused.
 
     Reports per-message success, leakage and randomization-distance
     samples, epsilon = 1 - mean success and theta = mean leakage.
@@ -808,36 +821,23 @@ def evaluate_code(code: CodeSpec, rho: DensityMatrix) -> SimulationReport:
     check_dim_budget(rho.dim, code.n)
     sender_copy = [lab for g in code.sender_groups for lab in g]
     leak_labels = set(sender_copy) | set(code.e_labels)
-    base = rho
-    if code.success_table is not None:
-        base = partial_trace(rho, [lab for lab in rho.layout.labels
-                                   if SystemLayout.copy_labels(lab, 1)[0] in leak_labels])
-    rho_n = tensor_power(base, code.n)
+    rho_n = tensor_power(partial_trace(rho, [
+        lab for lab in rho.layout.labels
+        if SystemLayout.copy_labels(lab, 1)[0] in leak_labels]), code.n)
 
     # summed from 0, as sum() does, so the average keeps its values and zero signs
-    total, msg_leaks, success_samples = 0, [], []
-    for idx, state in enumerate(_message_states(code, rho_n)):
+    total, msg_leaks = 0, []
+    for state in _message_states(code, rho_n):
         msg_leaks.append(partial_trace(state, leak_labels))
         total = total + msg_leaks[-1].matrix
-        if code.success_table is None:
-            success_samples.append(float(np.real(np.einsum(
-                "ij,ji->", code.decoder.elements[idx], state.matrix))))
     bar_leak = DensityMatrix(total / len(msg_leaks), msg_leaks[0].layout)
     target = _randomization_target(bar_leak, sender_copy)
 
-    if code.success_table is not None:
-        # Tr[(sum_l' E_k(m,l')) mean_l rho_k(m,l)]: sum over the decoded
-        # block, mean over the encoded one
-        blocks = _message_blocks(code.message_counts, code.block_sizes)
-        table = code.success_table[blocks[:, :, None], blocks[:, None, :]]
-        success_samples = [float(v) for v in table.sum(axis=(1, 2)) / blocks.shape[1]]
-    leak_samples = [trace_norm(leak.matrix - bar_leak.matrix) for leak in msg_leaks]
-    rand_samples = [trace_norm(leak.matrix - target.matrix) for leak in msg_leaks]
-
     samples = {
-        "success": tuple(success_samples),
-        "leakage": tuple(leak_samples),
-        "randomization_distance": tuple(rand_samples),
+        "success": code.success,
+        "leakage": tuple(trace_norm(leak.matrix - bar_leak.matrix) for leak in msg_leaks),
+        "randomization_distance": tuple(trace_norm(leak.matrix - target.matrix)
+                                        for leak in msg_leaks),
     }
     estimates = _mean_estimates(samples)
     estimates["epsilon"] = 1.0 - estimates["success"]
@@ -920,7 +920,9 @@ def chained_randomization_experiment(rho: DensityMatrix, senders: Sequence,
     stages = []
     for z, group in enumerate(copy_groups):
         suffix = [lab for g in groups[z:] for lab in g] + list(w_labels)
-        marg_n = _n_copies(partial_trace(rho, suffix), n)
+        marginal = partial_trace(rho, suffix)
+        check_dim_budget(marginal.dim, n)
+        marg_n = tensor_power(marginal, n)
         stages.append((group, marg_n, _randomization_target(marg_n, group)))
     total_target = _randomization_target(stages[0][1], sum(copy_groups, ()))
 
@@ -953,9 +955,10 @@ def encoding_experiment(rho: DensityMatrix, senders: Sequence, n: int,
                         family: str = "haar") -> SimulationReport:
     """Sweep family sizes: for each size K and trial t, every sender draws a
     family of K unitaries (Haar prefix (K, t, z)), and the report holds the
-    average PGM success on the K^Z encoded index states as `success_K<K>`.
-    The largest K^Z is bounded by 2^budget_qubits() before any family is
-    drawn, as a code's index space is."""
+    average PGM success on the K^Z encoded index states as `success_K<K>`,
+    scored by `_pgm_message_success` with one tuple per message. Before any
+    family is drawn, the largest K^Z is bounded by 2^budget_qubits(), as a
+    code's index space is, and d^n by the dimension budget."""
     _check_trials(trials)
     if len(set(k_sweep)) != len(k_sweep):
         # a repeated size would redraw its seed prefixes and count each trial twice
@@ -963,20 +966,17 @@ def encoding_experiment(rho: DensityMatrix, senders: Sequence, n: int,
     groups = label_groups(senders)
     # a size below 1 is left for its family to refuse
     _check_index_space(len(groups) * math.log2(max([1, *k_sweep])))
-    rho_n = _n_copies(rho, n)
-    factor = _sqrt_factor(rho_n.matrix)
-    copy_groups = [SystemLayout.copy_major(g, n) for g in groups]
+    check_dim_budget(rho.dim, n)
+    factor = _sqrt_factor(rho.matrix, cutoff=RANK_CUTOFF)
     samples: dict[str, list[float]] = {f"success_K{k}": [] for k in k_sweep}
     for k in k_sweep:
+        blocks = np.arange(k ** len(groups))[:, None]  # one index tuple per message
         for t in range(trials):
             families = [make_family(family, z, n, rho.layout.dim_of(g), k, master_seed,
                                     (k, t, z))
                         for z, g in enumerate(groups, start=1)]
-            factors = _encoded_factors(factor, rho_n.layout, families, copy_groups)
-            povm = _pgm(factors, [1.0 / len(factors)] * len(factors))
-            # Tr[E_k rho_k] = Tr[F_k^dag E_k F_k]
-            samples[f"success_K{k}"].append(float(np.mean(
-                [np.real(np.vdot(f, el @ f)) for f, el in zip(factors, povm.elements)])))
+            samples[f"success_K{k}"].append(float(np.mean(_pgm_message_success(
+                factor, rho.layout, n, families, groups, blocks))))
     samples_t = {name: tuple(vals) for name, vals in samples.items()}
     return SimulationReport(trials, _mean_estimates(samples_t), samples_t, master_seed,
                             {"k_sweep": list(k_sweep), "n": n, "family_kind": family})

@@ -457,14 +457,6 @@ def conditional_entropy(s: DensityMatrix, a: Iterable[str], b: Iterable[str]) ->
     return s_ab - s_b
 
 
-def mutual_information(s: DensityMatrix, a: Iterable[str], b: Iterable[str]) -> float:
-    """I(A:B) = S(A) - S(A|B) in bits."""
-    a, b = set(_label_tuple(a)), set(_label_tuple(b))
-    if a & b:
-        raise LabelError(f"overlapping label sets: {sorted(a & b)}")
-    return entropy(partial_trace(s, a)) - conditional_entropy(s, a, b)
-
-
 def conditional_mutual_information(s: DensityMatrix, a: Iterable[str],
                                    b: Iterable[str], c: Iterable[str]) -> float:
     """I(A:B|C) = S(A|C) - S(A|BC) in bits."""
@@ -482,16 +474,6 @@ def trace_norm(x) -> float:
     x = _as_square_complex(x)
     _check_hermitian(x, "trace-norm argument")
     return float(np.sum(np.abs(np.linalg.eigvalsh(x))))
-
-
-def trace_distance(a, b) -> float:
-    """(1/2)||a - b||_1 between two states or Hermitian matrices of equal
-    dimension."""
-    ma = a.matrix if isinstance(a, DensityMatrix) else _as_square_complex(a)
-    mb = b.matrix if isinstance(b, DensityMatrix) else _as_square_complex(b)
-    if ma.shape != mb.shape:
-        raise DimensionError(f"dimension mismatch: {ma.shape} vs {mb.shape}")
-    return 0.5 * trace_norm(ma - mb)
 
 
 def random_density(layout: SystemLayout, rank: int, seed) -> DensityMatrix:

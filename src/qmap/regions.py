@@ -51,16 +51,6 @@ def _entries_to_json(z: int, values: Sequence[float]) -> list[dict]:
     return [{"subset": list(subsets_of(m)), "value": values[m]} for m in range(1, 1 << z)]
 
 
-def _entries_from_json(obj: dict) -> tuple[int, tuple[float, ...]]:
-    """The sender count and bitmask-indexed table of a JSON entries object;
-    a subset it does not list has value 0."""
-    z = int(obj["z"])
-    values = [0.0] * (1 << z)
-    for entry in obj["entries"]:
-        values[mask_of(entry["subset"])] = float(entry["value"])
-    return z, tuple(values)
-
-
 @dataclass(frozen=True)
 class SetFunction:
     """Total real-valued table over subsets of {1..Z}, zero at the empty set."""
@@ -87,10 +77,6 @@ class SetFunction:
     def to_json(self) -> dict:
         return {"z": self.z_count, "entries": _entries_to_json(self.z_count, self.values)}
 
-    @staticmethod
-    def from_json(obj: dict) -> "SetFunction":
-        return SetFunction(*_entries_from_json(obj))
-
 
 @dataclass(frozen=True)
 class RateRegion:
@@ -116,10 +102,6 @@ class RateRegion:
     def to_json(self) -> dict:
         return {"z": self.z_count, "direction": self.direction,
                 "entries": _entries_to_json(self.z_count, self.bounds)}
-
-    @staticmethod
-    def from_json(obj: dict) -> "RateRegion":
-        return RateRegion(*_entries_from_json(obj), obj.get("direction", "<="))
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,6 @@ from qmap.presets import (
     cq_state,
     ghz_state,
     resolve_state_spec,
-    state_spec_to_json,
     werner_state,
 )
 
@@ -72,14 +71,6 @@ class TestPresets:
 
 
 class TestExplicitSpec:
-    def test_roundtrip_entrywise_exact(self):
-        spec = resolve_state_spec({"preset": {"name": "werner",
-                                              "params": {"p": 0.37}}})
-        obj = state_spec_to_json(spec)
-        back = resolve_state_spec(json.loads(json.dumps(obj)))
-        assert np.array_equal(back.state.matrix, spec.state.matrix)
-        assert back.senders == spec.senders
-
     def test_matrix_validation_path(self):
         with pytest.raises(SpecError) as exc:
             resolve_state_spec({"layout": [["A", 2]],

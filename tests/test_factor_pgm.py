@@ -2,8 +2,9 @@
 encoding walk, checked against the plain references `encode`,
 `pgm_decoder` and `povm_success`.
 
-The table-less code path (`success_table is None`) has no benchmark
-traffic, so the classical-quantum Pauli code pins its exact answer. The
+The dense message-level PGM of a code (N r^n > d^n, so no Gram table) has
+no benchmark traffic, so the classical-quantum Pauli code pins its exact
+answer. The
 POVM and union-bound boundaries refuse non-Hermitian operators, whose
 anti-Hermitian part the PSD check of the Hermitian part cannot see.
 """
@@ -13,6 +14,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+from qmap import protocols
 from qmap.presets import resolve_state_spec
 from qmap.protocols import (
     Povm,
@@ -36,11 +38,14 @@ from qmap.qstate import (
 NON_HERMITIAN = np.array([[1.0, 0.5], [-0.5, 0.0]])
 
 
-def test_table_less_pgm_code_decodes_cq_exactly():
+def test_table_less_pgm_code_decodes_cq_exactly(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("the Gram table ran")
+
+    monkeypatch.setattr(protocols, "pgm_success_table", forbidden)
     spec = resolve_state_spec({"preset": {"name": "cq", "params": {"probs": [0.5, 0.5]}}})
     code = build_qmap_code(spec.state, spec.senders, spec.receiver, spec.eavesdropper,
                            1, [1], ([2], [1]), 0, family="pauli")
-    assert code.success_table is None
     assert [f.size for f in code.families] == [4]
     report = evaluate_code(code, spec.state)
     assert report.estimates["epsilon"] <= 1e-9

@@ -1,10 +1,13 @@
-"""The PGM scored in Gram space, against the dense decoder as reference.
+"""The PGM scored in Gram space and per message, against the dense decoder as
+reference.
 
 `pgm_success_table` reads Tr[E_k' rho_k] of the uniform-prior pretty-good
-measurement from the square root of the ensemble's Gram matrix. The
-reference is the dense path: `pgm_decoder` on the encoded n-copy states,
-and the code's coarse-grained decoder, which `CodeSpec.decoder` builds on
-first access. Beyond the dense reach, Pauli superdense coding has the known
+measurement from the square root of the ensemble's Gram matrix, and
+`_pgm_message_success` reads each message's success from it or from the PGM
+of the message factors. The reference is the dense path: `pgm_decoder` on
+the encoded n-copy states, its elements summed over each message's block.
+With uniform priors that sum is the PGM of the message states, element by
+element. Beyond the dense reach, Pauli superdense coding has the known
 answer: every message is decoded with certainty.
 """
 
@@ -19,9 +22,14 @@ from qmap.cli import main
 from qmap.presets import resolve_state_spec
 from qmap.protocols import (
     RANK_CUTOFF,
+    _message_blocks,
+    _message_factors,
+    _pgm,
+    _pgm_message_success,
     _sqrt_factor,
     build_qmap_code,
     encode,
+    encoding_experiment,
     evaluate_code,
     make_family,
     pgm_decoder,
@@ -52,15 +60,27 @@ STATES = {
 }
 
 
-def dense_table(rho, families, groups):
-    """Tr[E_k' rho_k] from the dense PGM of the encoded n-copy states."""
+def dense_pgm(rho, families, groups):
+    """The encoded n-copy states in flat tuple order, and their dense PGM."""
     n = families[0].n
     k_tuples = list(product(*[range(f.size) for f in families]))
     copy_groups = [SystemLayout.copy_major(g, n) for g in groups]
     encoded = encode(tensor_power(rho, n), families, copy_groups, k_tuples)
-    povm = pgm_decoder(encoded, [1.0 / len(encoded)] * len(encoded))
+    return encoded, pgm_decoder(encoded, [1.0 / len(encoded)] * len(encoded))
+
+
+def dense_table(rho, families, groups):
+    """Tr[E_k' rho_k] from the dense PGM of the encoded n-copy states."""
+    encoded, povm = dense_pgm(rho, families, groups)
     return np.array([[np.real(np.einsum("ij,ji->", el, s.matrix)) for s in encoded]
-                     for el in povm.elements[: len(k_tuples)]])
+                     for el in povm.elements[: len(encoded)]])
+
+
+def dense_message_success(encoded, elements, blocks):
+    """Tr[(sum_l E_k(m,l)) mean_l rho_k(m,l)] for each message m of `blocks`."""
+    return [float(np.real(np.einsum("ij,ji->", sum(elements[k] for k in row),
+                                    sum(encoded[k].matrix for k in row) / len(row))))
+            for row in blocks]
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -88,7 +108,7 @@ def test_rank_factor_drops_only_null_directions():
 
 
 CODES = [
-    # (state, n, rates, (C, D), family): the table is attached when N r^n <= d^n
+    # (state, n, rates, (C, D), family): the Gram table runs when N r^n <= d^n
     ("bell", 2, [1.0], ([1.5], [0.5]), "haar"),
     ("two-bell", 2, [0.5, 0.5], ([1.0, 1.0], [0.5, 0.5]), "haar"),
     ("two-bell", 2, [0.5, 0.5], ([1.0, 1.0], [0.5, 0.5]), "pauli"),
@@ -98,24 +118,34 @@ CODES = [
 ]
 
 
+def _record(monkeypatch, name):
+    """The argument tuples of every call to `protocols.<name>`, which still runs."""
+    calls, inner = [], getattr(protocols, name)
+
+    def recording(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(protocols, name, recording)
+    return calls
+
+
 @pytest.mark.parametrize("name, n, rates, splits, kind", CODES)
-def test_evaluate_code_success_matches_lazy_decoder(name, n, rates, splits, kind):
+def test_evaluate_code_success_matches_lazy_decoder(name, n, rates, splits, kind,
+                                                    monkeypatch):
     rho, groups = STATES[name]()
+    tables = _record(monkeypatch, "pgm_success_table")
     code = build_qmap_code(rho, groups, (), (), n, rates, splits, 5, family=kind)
     rank = _sqrt_factor(rho.matrix, cutoff=RANK_CUTOFF).shape[1]
     count = int(np.prod([f.size for f in code.families]))
-    assert (code.success_table is not None) == (count * rank ** n <= rho.dim ** n)
-    assert "decoder" not in vars(code)  # not built yet
+    assert bool(tables) == (count * rank ** n <= rho.dim ** n)
     report = evaluate_code(code, rho)
-    rho_n = tensor_power(rho, n)
-    for idx, m_tuple in enumerate(product(*[range(m) for m in code.message_counts])):
-        k_tuples = [[m * l_z + l for m, l_z, l in zip(m_tuple, code.block_sizes, l_tuple)]
-                    for l_tuple in product(*[range(l) for l in code.block_sizes])]
-        state = sum(s.matrix for s in encode(rho_n, code.families, code.sender_groups,
-                                             k_tuples)) / len(k_tuples)
-        want = float(np.real(np.einsum("ij,ji->", code.decoder.elements[idx], state)))
-        assert abs(report.samples["success"][idx] - want) < TOL
-    assert code.decoder is code.decoder  # built once
+    assert report.samples["success"] == code.success
+    encoded, povm = dense_pgm(rho, code.families, groups)
+    want = dense_message_success(encoded, povm.elements,
+                                 _message_blocks(code.message_counts, code.block_sizes))
+    for got, ref in zip(code.success, want, strict=True):
+        assert abs(got - ref) < TOL
 
 
 def _forbid(monkeypatch, *names):
@@ -134,10 +164,83 @@ def test_superdense_success_at_n3_without_dense_decoder(monkeypatch):
     code = build_qmap_code(rho, groups, ("B1", "B2"), (), 3, [1, 1],
                            ([1, 1], [0, 0]), 0, family="pauli")
     assert code.message_counts == (8, 8) and code.block_sizes == (1, 1)
-    assert code.success_table.shape == (64, 64)
-    assert np.max(np.abs(np.diag(code.success_table) - 1)) < TOL
-    with pytest.raises(AssertionError, match="dense decoder path"):
-        code.decoder
+    assert len(code.success) == 64
+    assert max(abs(v - 1) for v in code.success) < TOL
+
+
+def full_rank_pair():
+    layout = SystemLayout((("A1", 2), ("A2", 2), ("B", 2)))
+    return random_density(layout, 8, 43), [("A1",), ("A2",)]
+
+
+# (state, n, message counts, block sizes): full-rank and pure, one and two senders
+MESSAGE_PGMS = [
+    (lambda: preset("werner", p=0.3), 1, (2,), (2,)),
+    (lambda: preset("werner", p=0.3), 2, (2,), (2,)),
+    (lambda: preset("bell"), 2, (2,), (4,)),
+    (full_rank_pair, 1, (2, 2), (1, 2)),
+    (lambda: preset("ghz"), 1, (2, 2), (2, 1)),
+    (lambda: preset("two-bell"), 2, (2, 2), (2, 2)),
+]
+
+
+def code_ensemble(state, n, counts, sizes, kind="haar"):
+    rho, groups = state()
+    families = [make_family(kind, z, n, rho.layout.dim_of(g), m * l, 11, (z,))
+                for z, (g, m, l) in enumerate(zip(groups, counts, sizes), start=1)]
+    return rho, groups, families, _message_blocks(counts, sizes)
+
+
+@pytest.mark.parametrize("state, n, counts, sizes", MESSAGE_PGMS,
+                         ids=["werner-1", "werner-2", "bell-2", "full-rank-pair-1",
+                              "ghz-1", "two-bell-2"])
+def test_message_pgm_is_the_index_pgm_summed_over_blocks(state, n, counts, sizes):
+    rho, groups, families, blocks = code_ensemble(state, n, counts, sizes)
+    factor = _sqrt_factor(rho.matrix, cutoff=RANK_CUTOFF)
+    messages = _message_factors(factor, rho.layout, n, families, groups, blocks)
+    tuples = _message_factors(factor, rho.layout, n, families, groups,
+                              np.arange(blocks.size)[:, None])
+    got = _pgm(messages, [1.0 / len(messages)] * len(messages)).elements
+    index = _pgm(tuples, [1.0 / len(tuples)] * len(tuples)).elements
+    want = [sum(index[k] for k in row) for row in blocks] + list(index[blocks.size:])
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert np.max(np.abs(a - b)) < TOL
+
+
+# both sides of N r^n <= d^n, with the side each is on
+SCORED = [
+    (lambda: preset("bell"), 2, (2,), (2,), True),  # 4 * 1 <= 16
+    (lambda: preset("ghz"), 1, (2, 2), (1, 1), True),  # 4 * 1 <= 8
+    (lambda: preset("werner", p=0.3), 1, (2,), (2,), False),  # 4 * 4 > 4
+    (rank3_spec, 1, (2, 2), (1, 2), False),  # 8 * 3 > 8
+]
+
+
+@pytest.mark.parametrize("state, n, counts, sizes, gram", SCORED,
+                         ids=["bell-2", "ghz-1", "werner-1", "rank3-1"])
+@pytest.mark.parametrize("kind", ["haar", "pauli"])
+def test_message_success_matches_the_plain_references(state, n, counts, sizes, gram,
+                                                      kind, monkeypatch):
+    rho, groups, families, blocks = code_ensemble(state, n, counts, sizes, kind)
+    tables = _record(monkeypatch, "pgm_success_table")
+    got = _pgm_message_success(_sqrt_factor(rho.matrix, cutoff=RANK_CUTOFF), rho.layout,
+                               n, families, groups, blocks)
+    assert bool(tables) == gram
+    encoded, povm = dense_pgm(rho, families, groups)
+    want = dense_message_success(encoded, povm.elements, blocks)
+    assert got.shape == (len(blocks),)
+    assert np.max(np.abs(got - want)) < TOL
+
+
+def test_two_bell_sweep_at_n2_scores_in_gram_space(monkeypatch):
+    """K = 16 gives 256 index tuples of rank 1 on a 256-dim state."""
+    _forbid(monkeypatch, "_pgm", "tensor_power")
+    rho, groups = preset("two-bell")
+    tables = _record(monkeypatch, "pgm_success_table")
+    report = encoding_experiment(rho, groups, 2, [16], 1, 0)
+    assert len(tables) == 1
+    assert 0 <= report.estimates["success_K16"] <= 1 + 1e-9
 
 
 def run_code(tmp_path, config):

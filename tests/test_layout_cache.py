@@ -26,7 +26,6 @@ from qmap.qstate import (
     conditional_entropy,
     conjugate_local,
     embed_operator,
-    mutual_information,
     partial_trace,
     permute_factors,
     random_density,
@@ -176,4 +175,3 @@ def test_bare_string_is_one_label():
                           embed_operator(u, ("A1",), layout))
     assert permute_factors(reduced, "A1").layout == reduced.layout
     assert conditional_entropy(rho, "A1", "B") == conditional_entropy(rho, ("A1",), ("B",))
-    assert mutual_information(rho, "A1", "B") == mutual_information(rho, ("A1",), ("B",))

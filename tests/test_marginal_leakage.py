@@ -1,28 +1,39 @@
-"""`evaluate_code` mixes a table code's message states on the senders+E marginal.
+"""`evaluate_code` mixes a code's message states on the senders+E marginal.
 
 Leakage and randomization distance read only the senders+E marginal, and the
-sender unitaries commute with the trace over B, so a code with a
-`success_table` never needs a state of dimension d^n. The reference is the
-same code without its table, which mixes on the full rho^(x)n. Also covered:
-exact answers at n=3 through the CLI, and an oversized message space refused
-before any family is drawn.
+sender unitaries commute with the trace over B, so a code scored in Gram
+space never needs a state of dimension d^n. The reference forms the full
+rho^(x)n: the block means of `encode`, and the dense PGM of every encoded
+state summed over each block. Also covered: exact answers at n=3 through
+the CLI, and an oversized message space refused before any family is drawn.
 """
 
 import json
 import time
-from dataclasses import replace
+from itertools import product
 
+import numpy as np
 import pytest
 
 from qmap import protocols
 from qmap.cli import main
 from qmap.presets import resolve_state_spec
-from qmap.protocols import build_qmap_code, evaluate_code
-from qmap.qstate import SystemLayout, random_density
+from qmap.protocols import _message_blocks, build_qmap_code, encode, evaluate_code, pgm_decoder
+from qmap.qstate import (
+    DensityMatrix,
+    SystemLayout,
+    maximally_mixed,
+    partial_trace,
+    permute_factors,
+    random_density,
+    tensor,
+    tensor_power,
+    trace_norm,
+)
 
 ABBE = SystemLayout((("A1", 2), ("A2", 2), ("B", 2), ("E", 2)))
 
-# (n, rates, (c, d)): every code has N r^n <= d^n for rank r = 2, so a table
+# (n, rates, (c, d)): every code has N r^n <= d^n for rank r = 2, so a Gram table
 CODES = [
     (1, [1, 1], ([2, 1], [1, 0])),  # N = 8
     (2, [0.5, 0.5], ([1, 1], [0.5, 0.5])),  # N = 16
@@ -30,30 +41,65 @@ CODES = [
 ]
 
 
-def rank2_code(n, rates, splits, seed):
+def rank2_code(n, rates, splits, seed, monkeypatch):
+    tables = []
+    inner = protocols.pgm_success_table
+
+    def recording(*args):
+        tables.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(protocols, "pgm_success_table", recording)
     rho = random_density(ABBE, 2, seed)
     code = build_qmap_code(rho, [["A1"], ["A2"]], ["B"], ["E"], n, rates, splits,
                            seed, family="haar")
-    assert code.success_table is not None
+    assert len(tables) == 1
     return rho, code
+
+
+def full_state_samples(code, rho):
+    """Per-message success, leakage and randomization distance on rho^(x)n:
+    each message state is the mean of `encode` over its block, its element the
+    dense PGM of every encoded state summed over that block, and the target
+    I/d_S (x) rho_E^(x)n."""
+    rho_n = tensor_power(rho, code.n)
+    sizes = [f.size for f in code.families]
+    encoded = encode(rho_n, code.families, code.sender_groups,
+                     list(product(*[range(size) for size in sizes])))
+    povm = pgm_decoder(encoded, [1.0 / len(encoded)] * len(encoded))
+    senders = [lab for g in code.sender_groups for lab in g]
+    success, leaks = [], []
+    for row in _message_blocks(code.message_counts, code.block_sizes):
+        mean = sum(encoded[k].matrix for k in row) / len(row)
+        success.append(float(np.real(np.trace(sum(povm.elements[k] for k in row) @ mean))))
+        leaks.append(partial_trace(DensityMatrix(mean, rho_n.layout),
+                                   senders + list(code.e_labels)))
+    bar = sum(leak.matrix for leak in leaks) / len(leaks)
+    target = tensor(maximally_mixed(SystemLayout(tuple(
+        (lab, rho_n.layout.dim_of(lab)) for lab in senders))),
+        tensor_power(partial_trace(rho, "E"), code.n))
+    target = permute_factors(target, leaks[0].layout.labels).matrix
+    return {"success": success,
+            "leakage": [trace_norm(leak.matrix - bar) for leak in leaks],
+            "randomization_distance": [trace_norm(leak.matrix - target) for leak in leaks]}
 
 
 @pytest.mark.parametrize("n, rates, splits", CODES)
 @pytest.mark.parametrize("seed", [0, 1])
-def test_marginal_path_matches_dense_path(n, rates, splits, seed):
-    rho, code = rank2_code(n, rates, splits, seed)
+def test_marginal_path_matches_dense_path(n, rates, splits, seed, monkeypatch):
+    rho, code = rank2_code(n, rates, splits, seed, monkeypatch)
     got = evaluate_code(code, rho)
-    want = evaluate_code(replace(code, success_table=None), rho)
-    assert got.trials == want.trials == code.message_space
+    want = full_state_samples(code, rho)
+    assert got.trials == code.message_space
     for name in ("success", "leakage", "randomization_distance"):
         assert len(got.samples[name]) == code.message_space
-        for a, b in zip(got.samples[name], want.samples[name], strict=True):
+        for a, b in zip(got.samples[name], want[name], strict=True):
             assert abs(a - b) < 1e-12, name
 
 
 def test_table_code_builds_nothing_of_dimension_d_to_the_n(monkeypatch):
     n = 2
-    rho, code = rank2_code(n, [1, 1], ([1.5, 1], [0.5, 0]), 3)
+    rho, code = rank2_code(n, [1, 1], ([1.5, 1], [0.5, 0]), 3, monkeypatch)
     dims = []
     for name in ("_mix", "tensor_power"):
         inner = getattr(protocols, name)

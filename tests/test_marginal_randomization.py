@@ -139,7 +139,7 @@ def werner_code():
 
 
 CODES = {
-    # N = 16 tuples of rank 3 at n = 2: N r^n = 144 <= d^n = 256, so a table
+    # N = 16 tuples of rank 3 at n = 2: N r^n = 144 <= d^n = 256, so a Gram table
     "table": lambda: abbe_code("pgm", 2, [0.5, 0.5], ([1, 1], [0.5, 0.5])),
     "pgm-without-table": werner_code,
     "sequential": lambda: abbe_code("sequential", 1, [1, 1], ([2, 1], [1, 0])),
@@ -147,9 +147,17 @@ CODES = {
 
 
 @pytest.mark.parametrize("kind", sorted(CODES))
-def test_evaluate_code_matches_the_encode_reference(kind):
+def test_evaluate_code_matches_the_encode_reference(kind, monkeypatch):
+    tables = []
+    inner = protocols.pgm_success_table
+
+    def recording(*args):
+        tables.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(protocols, "pgm_success_table", recording)
     rho, code = CODES[kind]()
-    assert (code.success_table is not None) == (kind == "table")
+    assert bool(tables) == (kind == "table")
     report = evaluate_code(code, rho)
     leakage, distance = reference_samples(code, rho)
     assert report.trials == code.message_space == len(leakage)
@@ -159,12 +167,11 @@ def test_evaluate_code_matches_the_encode_reference(kind):
             assert abs(a - b) < 1e-12
 
 
-def test_table_less_code_validates_one_plus_z_m_full_states(monkeypatch):
+def test_sequential_code_evaluation_validates_no_full_state(monkeypatch):
     spec = resolve_state_spec({"preset": {"name": "two-bell"}})
     code = build_qmap_code(spec.state, spec.senders, spec.receiver, spec.eavesdropper,
                            1, [1, 1], ([1, 1], [0, 0]), 0, decoder="sequential")
-    assert code.success_table is None and code.message_space == 4
-    _ = code.decoder  # built before counting: the decoder forms its own rho^(x)n
+    assert code.message_space == 4
     sizes = []
     check = qstate.psd_violation
 
@@ -174,8 +181,10 @@ def test_table_less_code_validates_one_plus_z_m_full_states(monkeypatch):
 
     monkeypatch.setattr(qstate, "psd_violation", counted)
     evaluate_code(code, spec.state)
-    # rho^(x)n once, then one `_mix` per sender and message
-    assert sizes.count(spec.state.dim) == 1 + code.z_count * code.message_space == 9
+    # every message is mixed on the senders+E marginal, whatever the decoder
+    leak_dim = spec.state.layout.dim_of([*sum(spec.senders, ()), *spec.eavesdropper])
+    assert sizes.count(spec.state.dim) == 0
+    assert max(sizes) == leak_dim ** code.n < spec.state.dim
 
 
 @pytest.mark.parametrize("family", ["haar", "pauli"])

@@ -23,7 +23,6 @@ from qmap.protocols import (
     MAX_MESSAGES,
     BudgetError,
     CodeSpec,
-    Povm,
     _kraus_pair,
     _outcome_pattern_sum,
     _psd_power,
@@ -164,7 +163,11 @@ def test_evaluate_code_message_states_match_encode_mean(family, monkeypatch):
     report = evaluate_code(code, spec.state)
     states = mixes[code.z_count - 1::code.z_count]  # the last sender's mix per message
     rho_n = tensor_power(spec.state, code.n)
-    # a table code mixes on the senders+E marginal, the only part leakage reads
+    sizes = [f.size for f in code.families]
+    every_tuple = encode(rho_n, code.families, code.sender_groups,
+                         list(product(*[range(size) for size in sizes])))
+    index_pgm = pgm_decoder(every_tuple, [1.0 / len(every_tuple)] * len(every_tuple))
+    # every code mixes on the senders+E marginal, the only part leakage reads
     leak_labels = {lab for g in code.sender_groups for lab in g} | set(code.e_labels)
     for idx, m_tuple in enumerate(product(*[range(m) for m in code.message_counts])):
         k_tuples = [[m * l_z + l for m, l_z, l in zip(m_tuple, code.block_sizes, l_tuple)]
@@ -174,7 +177,8 @@ def test_evaluate_code_message_states_match_encode_mean(family, monkeypatch):
         marginal = partial_trace(DensityMatrix(want, rho_n.layout), leak_labels)
         assert states[idx].layout == marginal.layout
         assert np.max(np.abs(states[idx].matrix - marginal.matrix)) < 1e-12
-        success = float(np.real(np.trace(code.decoder.elements[idx] @ want)))
+        element = sum(index_pgm.elements[np.ravel_multi_index(k, sizes)] for k in k_tuples)
+        success = float(np.real(np.trace(element @ want)))
         assert abs(report.samples["success"][idx] - success) < 1e-12
     assert len(states) == report.trials == code.message_space
     assert report.extra["exact"] is True
@@ -190,7 +194,7 @@ def test_oversized_message_space_is_refused_before_any_state(monkeypatch):
     assert count * count > MAX_MESSAGES
     families = tuple(identity_family(z, 1, 2, size=count) for z in (1, 2))
     code = CodeSpec(1, 2, (("A1_1",), ("A2_1",)), ("B_1",), (), (count, count), (1, 1),
-                    families, Povm((np.eye(8),)), "identity", "pgm", None)
+                    families, (1.0,) * count ** 2, "identity", "pgm", None)
     with pytest.raises(BudgetError, match="message space 4225"):
         evaluate_code(code, resolve_state_spec({"preset": {"name": "two-bell"}}).state)
 

@@ -249,6 +249,15 @@ class TestCodes:
             build_qmap_code(bell_pair(), [("A1",)], ("B",), (), 1, [1.0],
                             ([2.0], [0.5]), 0)
 
+    @pytest.mark.parametrize("decoder", ["pgm", "sequential"])
+    @pytest.mark.parametrize("rates", [[1], [1, 1, 1]])
+    def test_rate_list_of_the_wrong_length_rejected(self, rates, decoder):
+        # a short list would leave A2 unencoded, a long one add a message count
+        spec = _preset("two-bell", {})
+        with pytest.raises(ValueError, match="rates must have one entry per sender"):
+            build_qmap_code(spec.state, spec.senders, spec.receiver, (), 1, rates,
+                            ([1, 1], [0, 0]), 0, family="pauli", decoder=decoder)
+
     def test_sequential_decoder_two_senders(self):
         spec = _preset("two-bell", {})
         code = build_qmap_code(spec.state, spec.senders, spec.receiver, (), 1,
@@ -258,12 +267,21 @@ class TestCodes:
         assert report.estimates["epsilon"] < 1e-9
 
     def test_decoder_povm_valid(self):
+        # each message's element is the index-level PGM, a valid POVM, summed
+        # over its block of two encodings
+        from qmap.qstate import apply_unitary
         rho = bell_pair()
         code = build_qmap_code(rho, [("A1",)], ("B",), (), 1, [1.0],
                                ([1.5], [0.5]), 11, family="haar")
-        assert isinstance(code.decoder, Povm)
         assert code.message_counts == (2,)
         assert code.block_sizes == (2,)
+        encoded = [apply_unitary(rho, code.families[0].block(k), ["A1"]) for k in range(4)]
+        povm = pgm_decoder(encoded, [0.25] * 4)
+        assert isinstance(povm, Povm)
+        for m, success in enumerate(code.success):
+            element = povm.elements[2 * m] + povm.elements[2 * m + 1]
+            state = (encoded[2 * m].matrix + encoded[2 * m + 1].matrix) / 2
+            assert abs(success - np.real(np.trace(element @ state))) < 1e-12
 
     def test_coarse_graining_success_inequality(self):
         # message-level success is at least index-level success for the

@@ -17,14 +17,12 @@ from qmap.qstate import (
     embed_operator,
     entropy,
     maximally_mixed,
-    mutual_information,
     partial_trace,
     permute_factors,
     pure_state,
     random_density,
     tensor,
     tensor_power,
-    trace_distance,
     trace_norm,
 )
 
@@ -185,9 +183,6 @@ class TestEntropy:
     def test_bell_conditional_entropy_negative(self):
         assert abs(conditional_entropy(bell(), ["A"], ["B"]) + 1.0) < 1e-10
 
-    def test_bell_mutual_information(self):
-        assert abs(mutual_information(bell(), ["A"], ["B"]) - 2.0) < 1e-10
-
     def test_cmi_of_product_extension(self):
         c = maximally_mixed(SystemLayout((("C", 2),)))
         s = tensor(bell(), c)
@@ -202,16 +197,6 @@ class TestNorms:
     def test_trace_norm_of_hermitian(self):
         m = np.diag([1.0, -2.0, 3.0])
         assert abs(trace_norm(m) - 6.0) < 1e-12
-
-    def test_trace_distance_orthogonal_pure(self):
-        layout = SystemLayout((("A", 2),))
-        a = pure_state([1, 0], layout)
-        b = pure_state([0, 1], layout)
-        assert abs(trace_distance(a, b) - 1.0) < 1e-12
-
-    def test_trace_distance_self(self):
-        s = random_density(AB, 4, 9)
-        assert trace_distance(s, s) < 1e-12
 
     @settings(max_examples=40, deadline=None)
     @given(qubits=st.integers(1, 6), ranks=st.tuples(st.integers(1, 64), st.integers(1, 64)),
@@ -280,14 +265,6 @@ class TestEntropicInvariants:
         stepwise = partial_trace(partial_trace(s, ["B", "C"]), ["C"])
         direct = partial_trace(s, ["C"])
         assert np.max(np.abs(stepwise.matrix - direct.matrix)) <= 1e-12
-
-    def test_trace_distance_triangle(self):
-        rng = np.random.default_rng(37)
-        for _ in range(20):
-            a, b, c = (random_density(AB, int(rng.integers(1, 5)), rng)
-                       for _ in range(3))
-            assert (trace_distance(a, c)
-                    <= trace_distance(a, b) + trace_distance(b, c) + 1e-12)
 
 
 @settings(max_examples=30, deadline=None)

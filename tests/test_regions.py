@@ -54,10 +54,6 @@ class TestSetFunction:
         assert f.value([2]) == 2.0
         assert f.value([1, 2]) == 3.0
 
-    def test_json_roundtrip(self):
-        f = SetFunction(3, (0.0,) + tuple(float(i) / 7 for i in range(1, 8)))
-        assert SetFunction.from_json(f.to_json()) == f
-
     def test_json_schema(self):
         f = SetFunction(2, (0.0, 1.0, 2.0, 4.0))
         obj = f.to_json()
@@ -66,10 +62,6 @@ class TestSetFunction:
 
 
 class TestRateRegion:
-    def test_json_roundtrip(self):
-        r = RateRegion(2, (0.0, 2.0, 2.0, 4.0), "<=")
-        assert RateRegion.from_json(r.to_json()) == r
-
     def test_bad_direction(self):
         with pytest.raises(ValueError):
             RateRegion(1, (0.0, 1.0), "<")
@@ -275,13 +267,6 @@ class TestRateSplit:
         with pytest.raises(SeparationError) as exc:
             rate_split([bound, 0.0], chat, dhat)
         assert exc.value.subset == (1,)
-
-
-@settings(max_examples=25, deadline=None)
-@given(st.lists(st.floats(-10, 10, allow_nan=False), min_size=7, max_size=7))
-def test_set_function_json_roundtrip_property(values):
-    f = SetFunction(3, (0.0,) + tuple(values))
-    assert SetFunction.from_json(f.to_json()) == f
 
 
 @settings(max_examples=15, deadline=None)
