@@ -12,7 +12,10 @@ import json
 import math
 import sys
 from functools import partial
+from itertools import chain
 from pathlib import Path
+
+import orjson
 
 from . import protocols, regions
 from .presets import ResolvedSpec, SpecError, _field, resolve_state_spec
@@ -25,10 +28,56 @@ EXIT_INVARIANT = 3
 EXIT_BUDGET = 4
 
 
+# orjson reads an integer beyond 64 bits as a float, where json keeps the int
+_WIDE = 2.0 ** 63
+
+
+def _holds_wide_number(value) -> bool:
+    """Whether a number of magnitude >= 2^63 is anywhere in a decoded value."""
+    todo = [value]
+    while todo:
+        x = todo.pop()
+        if isinstance(x, dict):
+            todo.extend(x.values())
+        elif isinstance(x, list):
+            if all(type(row) is list for row in x):
+                try:  # rows of number lists (a spec matrix) in one C-level pass
+                    flat = chain.from_iterable(chain.from_iterable(x))
+                    if max(map(abs, flat), default=0) >= _WIDE:
+                        return True
+                    continue
+                except TypeError:  # a row holds more than number lists
+                    pass
+            todo.extend(x)
+        elif isinstance(x, (int, float)) and abs(x) >= _WIDE:
+            return True
+    return False
+
+
+def _read_json(path: str):
+    """The file's JSON value, as `json.load` reads it.
+
+    orjson decodes it. Where orjson may differ from json (it refuses NaN,
+    +-Infinity, numbers that overflow a double, a BOM and invalid UTF-8, and
+    reads an integer beyond 64 bits as a float), the file is read again with
+    json, so every document gives json's value or json's error.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        value = orjson.loads(data)
+    except orjson.JSONDecodeError:
+        pass
+    else:
+        if not _holds_wide_number(value):
+            return value
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
 def _load_json(path: str, what: str) -> dict:
     try:
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+        return _read_json(path)
     except FileNotFoundError as exc:
         raise SpecError(f"{what} file not found: {path}") from exc
     except json.JSONDecodeError as exc:

@@ -825,18 +825,16 @@ def evaluate_code(code: CodeSpec, rho: DensityMatrix) -> SimulationReport:
         lab for lab in rho.layout.labels
         if SystemLayout.copy_labels(lab, 1)[0] in leak_labels]), code.n)
 
-    # summed from 0, as sum() does, so the average keeps its values and zero signs
-    total, msg_leaks = 0, []
-    for state in _message_states(code, rho_n):
-        msg_leaks.append(partial_trace(state, leak_labels))
-        total = total + msg_leaks[-1].matrix
-    bar_leak = DensityMatrix(total / len(msg_leaks), msg_leaks[0].layout)
+    # each message state lives on exactly the leak labels, so its matrix is
+    # its leakage marginal
+    msg_leaks = [state.matrix for state in _message_states(code, rho_n)]
+    bar_leak = DensityMatrix(sum(msg_leaks) / len(msg_leaks), rho_n.layout)
     target = _randomization_target(bar_leak, sender_copy)
 
     samples = {
         "success": code.success,
-        "leakage": tuple(trace_norm(leak.matrix - bar_leak.matrix) for leak in msg_leaks),
-        "randomization_distance": tuple(trace_norm(leak.matrix - target.matrix)
+        "leakage": tuple(trace_norm(leak - bar_leak.matrix) for leak in msg_leaks),
+        "randomization_distance": tuple(trace_norm(leak - target.matrix)
                                         for leak in msg_leaks),
     }
     estimates = _mean_estimates(samples)

@@ -33,6 +33,13 @@ A check holds one Hermitian part beyond its input (built in place in the array
 its Hermitian deviation was computed in, and shifted on its diagonal), plus
 numpy's Cholesky factor and LAPACK's buffers.
 
+The region layer's marginals are the one exception to "validated as a
+`DensityMatrix`": `marginal_entropies` traces them on matrices and makes
+each `DensityMatrix` check on them in stacks of one dimension (Hermitian
+and trace through `require`, PSD by the minimum of the spectrum its entropy
+is read from), at the same tolerances, naming the marginal's labels in the
+StateValidationError.
+
 Local operators act by contracting only the acted-on tensor axes
 (`apply_unitary`, `apply_local`, `conjugate_local`); `embed_operator` builds
 the full operator and is kept as the plain reference.
@@ -42,6 +49,7 @@ from __future__ import annotations
 
 import math
 import operator
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
@@ -439,12 +447,110 @@ def partial_trace(s: DensityMatrix, keep: str | Iterable[str]) -> DensityMatrix:
     return DensityMatrix(t.reshape(d, d), layout)
 
 
-def entropy(s: DensityMatrix) -> float:
-    """von Neumann entropy in bits."""
-    # the constructor certified PSD; eigenvalues <= EIG_ZERO_TOL add nothing
-    eig = np.linalg.eigvalsh((s.matrix + s.matrix.conj().T) / 2)
+def _spectrum_entropy(eig: np.ndarray) -> float:
+    """-sum p log2 p over a PSD spectrum; eigenvalues <= EIG_ZERO_TOL add nothing."""
     eig = eig[eig > EIG_ZERO_TOL]
     return float(-np.sum(eig * np.log2(eig)))
+
+
+def entropy(s: DensityMatrix) -> float:
+    """von Neumann entropy in bits."""
+    # the constructor certified PSD
+    return _spectrum_entropy(np.linalg.eigvalsh((s.matrix + s.matrix.conj().T) / 2))
+
+
+def _stack_entropies(stack: np.ndarray, names: list[tuple[str, ...]]) -> list[float]:
+    """Entropies of a (count, d, d) stack of marginals, the i-th on the labels
+    `names[i]`. Each is checked as a `DensityMatrix` is: Hermitian within
+    HERMITIAN_TOL, unit trace within TRACE_TOL, and PSD within PSD_TOL by the
+    minimum of the spectrum its entropy is read from (the exact comparison
+    `psd_violation` falls back to). A failure raises StateValidationError
+    naming the marginal's labels."""
+    # C order, so that only the conjugate transposes read across the rows
+    h = np.empty_like(stack)
+    np.conjugate(stack.transpose(0, 2, 1), out=h)
+    # a NaN or infinite entry makes the deviation NaN or inf (inf - inf)
+    with np.errstate(invalid="ignore"):
+        h -= stack
+        devs = np.abs(h).max(axis=(1, 2))
+    for labels, dev in zip(names, devs):
+        require(dev, HERMITIAN_TOL, StateValidationError,
+                "marginal on {} is not Hermitian within tolerance" if math.isfinite(dev)
+                else "marginal on {} has non-finite entries", list(labels))
+    traces = np.real(np.trace(stack, axis1=1, axis2=2))
+    for labels, tr in zip(names, traces):
+        require(abs(tr - 1), TRACE_TOL, StateValidationError,
+                "marginal on {} has trace {}, not 1 within tolerance", list(labels), tr)
+    # the Hermitian parts (m + m^dag) / 2, built in place in the scratch stack
+    np.conjugate(stack.transpose(0, 2, 1), out=h)
+    h += stack
+    h /= 2
+    spectra = np.linalg.eigvalsh(h)
+    for labels, eig in zip(names, spectra):
+        require(-eig[0], PSD_TOL, StateValidationError,
+                "marginal on {} is not PSD within tolerance: min eigenvalue {}",
+                list(labels), eig[0])
+    return [_spectrum_entropy(eig) for eig in spectra]
+
+
+def marginal_entropies(rho: DensityMatrix, label_sets: Iterable[Iterable[str]]
+                       ) -> dict[frozenset, float]:
+    """S(rho restricted to each label set) in bits, keyed by the label set as
+    a frozenset; the empty set has entropy 0.
+
+    One depth-first walk of a subset-enumeration tree computes every
+    marginal as its parent with one more factor traced out. Factors leave
+    from the last to the first, as in `partial_trace`, so each marginal has
+    `partial_trace`'s bits. Only the chain of ancestors of the current node
+    is alive, plus the marginals waiting to be stacked: those of one
+    dimension are stacked, checked and diagonalized (`_stack_entropies`)
+    once they hold as many bytes as rho's matrix, or once every marginal of
+    that dimension has been traced.
+    """
+    layout = rho.layout
+    keys = {frozenset(_label_tuple(s)) for s in label_sets}
+    for key in keys:
+        layout._check_known(key)
+    out = {frozenset(): 0.0} if frozenset() in keys else {}
+    keys.discard(frozenset())
+    # a node is [wanted, {index of the next factor traced out: child node}]
+    root = [False, {}]
+    for key in keys:
+        node = root
+        for i in reversed(range(len(layout.labels))):
+            if layout.labels[i] not in key:
+                node = node[1].setdefault(i, [False, {}])
+        node[0] = True
+    pending = Counter(layout.dim_of(key) for key in keys)
+    # dimension -> (marginals waiting, their labels)
+    waiting: dict[int, tuple[list[np.ndarray], list[tuple[str, ...]]]] = {}
+
+    def add(m: np.ndarray, labels: tuple[str, ...]) -> None:
+        d = m.shape[0]
+        ms, names = waiting.setdefault(d, ([], []))
+        ms.append(m)
+        names.append(labels)
+        pending[d] -= 1
+        if len(ms) * m.nbytes >= rho.matrix.nbytes or not pending[d]:
+            del waiting[d]
+            stack = np.stack(ms)
+            ms.clear()
+            out.update(zip(map(frozenset, names), _stack_entropies(stack, names)))
+
+    def visit(node, t: np.ndarray, kept: list[int]) -> None:
+        wanted, children = node
+        if wanted:
+            d = math.prod(layout.dims[i] for i in kept)
+            add(t.reshape(d, d), tuple(layout.labels[i] for i in kept))
+        for i, child in sorted(children.items()):
+            pos = kept.index(i)
+            # inf - inf in a non-finite state is left for the Hermitian check
+            with np.errstate(invalid="ignore"):
+                traced = np.trace(t, axis1=pos, axis2=pos + len(kept))
+            visit(child, traced, kept[:pos] + kept[pos + 1:])
+
+    visit(root, rho.matrix.reshape(layout.dims * 2), list(range(len(layout.dims))))
+    return out
 
 
 def conditional_entropy(s: DensityMatrix, a: Iterable[str], b: Iterable[str]) -> float:

@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 import numpy as np
 from scipy.optimize import linprog
 
-from .qstate import DensityMatrix, LabelError, entropy, label_groups, partial_trace, require
+from .qstate import DensityMatrix, LabelError, label_groups, marginal_entropies, require
 
 ENTROPIC_TOL = 1e-9
 
@@ -133,30 +133,27 @@ def _check_roles(rho: DensityMatrix, groups: list[tuple[str, ...]], *extra) -> N
         seen |= g
 
 
-def _entropy_table(rho: DensityMatrix):
-    """Lazy map from a label set to S(rho restricted to it) in bits.
-
-    Each entry is computed once, through `partial_trace` and `entropy` with
-    their validation, and S(empty set) = 0. The table lives for one call of a
-    public table builder.
+def _entropy_table(rho: DensityMatrix, groups: list[tuple[str, ...]],
+                   *extras: tuple[str, ...]) -> dict[frozenset, float]:
+    """S(A_Gamma X) in bits for every sender subset Gamma and each label tuple
+    X in `extras`, from one `marginal_entropies` call, keyed by label set.
+    S(empty set) = 0 is added without a call. The table lives for one call of
+    a public table builder.
     """
-    cache: dict[frozenset, float] = {frozenset(): 0.0}
-
-    def s(labels) -> float:
-        key = frozenset(labels)
-        if key not in cache:
-            cache[key] = entropy(partial_trace(rho, key))
-        return cache[key]
-
-    return s
+    sets = {frozenset(_mask_labels(groups, mask)).union(x)
+            for x in extras for mask in range(1 << len(groups))}
+    sets.discard(frozenset())
+    table = marginal_entropies(rho, sets)
+    table[frozenset()] = 0.0
+    return table
 
 
-def _conditional(s, a: set[str], b: set[str]) -> float:
+def _conditional(s: dict[frozenset, float], a: set[str], b: set[str]) -> float:
     """S(a|b) = S(ab) - S(b), in the order of `qstate.conditional_entropy`."""
-    return s(a | b) - s(b)
+    return s[frozenset(a | b)] - s[frozenset(b)]
 
 
-def _chat(s, groups: list[tuple[str, ...]], log_dims: list[float],
+def _chat(s: dict[frozenset, float], groups: list[tuple[str, ...]], log_dims: list[float],
           v: tuple[str, ...]) -> SetFunction:
     z = len(groups)
     values = [0.0] * (1 << z)
@@ -169,7 +166,7 @@ def _chat(s, groups: list[tuple[str, ...]], log_dims: list[float],
     return SetFunction(z, tuple(values))
 
 
-def _dhat(s, groups: list[tuple[str, ...]], log_dims: list[float],
+def _dhat(s: dict[frozenset, float], groups: list[tuple[str, ...]], log_dims: list[float],
           w: tuple[str, ...]) -> SetFunction:
     z = len(groups)
     values = [0.0] * (1 << z)
@@ -185,7 +182,7 @@ def chat_from_state(rho: DensityMatrix, senders: Sequence, v: Iterable[str]) -> 
     groups = label_groups(senders)
     v = tuple(v)
     _check_roles(rho, groups, v)
-    return _chat(_entropy_table(rho), groups, _sender_log_dims(rho, groups), v)
+    return _chat(_entropy_table(rho, groups, v), groups, _sender_log_dims(rho, groups), v)
 
 
 def dhat_from_state(rho: DensityMatrix, senders: Sequence, w: Iterable[str]) -> SetFunction:
@@ -193,7 +190,7 @@ def dhat_from_state(rho: DensityMatrix, senders: Sequence, w: Iterable[str]) -> 
     groups = label_groups(senders)
     w = tuple(w)
     _check_roles(rho, groups, w)
-    return _dhat(_entropy_table(rho), groups, _sender_log_dims(rho, groups), w)
+    return _dhat(_entropy_table(rho, groups, w), groups, _sender_log_dims(rho, groups), w)
 
 
 def dcheck_from_dhat(dhat: SetFunction, log_dims: Sequence[float]) -> SetFunction:
@@ -223,7 +220,7 @@ def region_tables(rho: DensityMatrix, senders: Sequence, b: Iterable[str],
     if covered != set(rho.layout.labels):
         raise LabelError(
             f"roles must cover the layout; missing {sorted(set(rho.layout.labels) - covered)}")
-    s = _entropy_table(rho)
+    s = _entropy_table(rho, groups, b + e, e)
     log_dims = _sender_log_dims(rho, groups)
     chat = _chat(s, groups, log_dims, b + e)
     dhat = _dhat(s, groups, log_dims, e)

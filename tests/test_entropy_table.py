@@ -1,6 +1,8 @@
 """The region layer over one entropy table: `region_tables` against the
-unshared per-subset reference path, the number of marginal entropies it
-evaluates, the invariant exit code, and the vectorized matrix parser."""
+unshared per-subset reference path, `marginal_entropies` against
+`entropy(partial_trace(...))` and its validation of each marginal, the
+number of marginal entropies it evaluates, the invariant exit code, and the
+vectorized matrix parser."""
 
 import json
 
@@ -12,9 +14,13 @@ from hypothesis import strategies as st
 from qmap import cli, protocols, regions
 from qmap.presets import SpecError, _parse_matrix
 from qmap.qstate import (
+    LabelError,
+    StateValidationError,
     SystemLayout,
     conditional_entropy,
     conditional_mutual_information,
+    entropy,
+    marginal_entropies,
     partial_trace,
     random_density,
 )
@@ -107,6 +113,76 @@ class TestAgainstReference:
         assert np.max(np.abs(np.subtract(region.bounds, ref_bounds))) <= 1e-12
 
 
+class TestMarginalEntropies:
+    @settings(max_examples=60, deadline=None)
+    @given(case=region_cases(), data=st.data())
+    def test_against_partial_trace(self, case, data):
+        rho, groups, b, e = case
+        # every set a region table reads, the empty one included, and a few more
+        sets = {frozenset(_labels(groups, mask)).union(x)
+                for x in (b + e, e) for mask in range(1 << len(groups))}
+        labels = st.sets(st.sampled_from(rho.layout.labels))
+        sets |= {frozenset(data.draw(labels)) for _ in range(3)}
+        got = marginal_entropies(rho, sets)
+        assert set(got) == sets
+        for key in sets:
+            ref = entropy(partial_trace(rho, key)) if key else 0.0
+            assert abs(got[key] - ref) <= 1e-12
+
+    def test_unknown_label_is_a_label_error(self):
+        rho = _qubit_state(2)[0]
+        with pytest.raises(LabelError):
+            marginal_entropies(rho, [("A1",), ("Z",)])
+
+
+def _corrupt(rho, how):
+    """rho with its matrix replaced behind the constructor's back. Entries
+    (0, d/2) and (d/2, d/2) are terms of the A1 marginal's entries (0, 1)
+    and (1, 1), so each fault shows in the marginal on A1."""
+    d = rho.dim
+    m = rho.matrix.copy()
+    if how in ("nan", "inf"):
+        m[0, 0] = np.nan if how == "nan" else np.inf
+    elif how == "non-hermitian":
+        m[0, d // 2] += 1e-3
+    elif how == "trace":
+        m *= 1.01
+    else:  # Hermitian, unit trace, and the A1 marginal is diag(1.5, -0.5)
+        m = np.zeros_like(m)
+        m[0, 0], m[d // 2, d // 2] = 1.5, -0.5
+    object.__setattr__(rho, "matrix", m)
+    return rho
+
+
+FAULTS = [("nan", "has non-finite entries"), ("inf", "has non-finite entries"),
+          ("non-hermitian", "is not Hermitian"), ("trace", "has trace"),
+          ("not-psd", "is not PSD")]
+
+
+class TestInvalidMarginal:
+    @pytest.mark.parametrize("how, message", FAULTS)
+    def test_raises_naming_the_marginal(self, how, message):
+        rho = _corrupt(_qubit_state(2)[0], how)
+        with pytest.raises(StateValidationError,
+                           match=rf"marginal on \['A1'\] {message}"):
+            marginal_entropies(rho, [("A1",)])
+
+    @pytest.mark.parametrize("how", [how for how, _ in FAULTS])
+    def test_cli_exits_3(self, tmp_path, monkeypatch, capsys, how):
+        spec = _spec_file(tmp_path, *_qubit_state(3))
+        resolve = cli.resolve_state_spec
+
+        def corrupted(obj):
+            resolved = resolve(obj)
+            _corrupt(resolved.state, how)
+            return resolved
+
+        monkeypatch.setattr(cli, "resolve_state_spec", corrupted)
+        assert cli.main(["region", "--spec", spec, "--out", str(tmp_path / "out")]) == 3
+        assert "error: marginal on" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
 def _qubit_state(z, with_e=True, seed=0):
     roles = [(f"A{i}", 2) for i in range(1, z + 1)] + [("B", 2)]
     if with_e:
@@ -120,13 +196,14 @@ def _qubit_state(z, with_e=True, seed=0):
 def entropy_calls(monkeypatch):
     """Label sets of every marginal whose entropy the table computes."""
     calls = []
-    inner = regions.entropy
+    inner = regions.marginal_entropies
 
-    def counted(s):
-        calls.append(frozenset(s.layout.labels))
-        return inner(s)
+    def counted(rho, label_sets):
+        label_sets = [frozenset(s) for s in label_sets]
+        calls.extend(label_sets)
+        return inner(rho, label_sets)
 
-    monkeypatch.setattr(regions, "entropy", counted)
+    monkeypatch.setattr(regions, "marginal_entropies", counted)
     return calls
 
 
@@ -171,14 +248,16 @@ class TestInvariantExitCode:
     def test_region_identity_fault_exits_3(self, tmp_path, monkeypatch):
         rho, senders, b, e = _qubit_state(3)
         spec = _spec_file(tmp_path, rho, senders, b, e)
-        inner = regions.entropy
+        inner = regions.marginal_entropies
 
         # With one shared table the identity holds to rounding for any finite
         # entries, so the injected fault is a NaN entropy of the E marginal.
-        def faulty(s):
-            return float("nan") if s.layout.labels == ("E",) else inner(s)
+        def faulty(state, label_sets):
+            table = inner(state, label_sets)
+            table[frozenset({"E"})] = float("nan")
+            return table
 
-        monkeypatch.setattr(regions, "entropy", faulty)
+        monkeypatch.setattr(regions, "marginal_entropies", faulty)
         with pytest.raises(InvariantError, match="region identity"):
             region_tables(rho, senders, b, e)
         assert cli.main(["region", "--spec", spec, "--out", str(tmp_path / "out")]) == 3
