@@ -80,6 +80,8 @@ def _load_json(path: str, what: str) -> dict:
         return _read_json(path)
     except FileNotFoundError as exc:
         raise SpecError(f"{what} file not found: {path}") from exc
+    except OSError as exc:  # a directory, no permission, a read error
+        raise SpecError(f"{what} file cannot be read: {path}: {exc.strerror or exc}") from exc
     except json.JSONDecodeError as exc:
         raise SpecError(f"{what} is not valid JSON: {exc}") from exc
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -145,19 +146,22 @@ def _preset(name: str, params) -> ResolvedSpec:
 def _parse_matrix(entries, dim: int) -> np.ndarray:
     if not isinstance(entries, list) or len(entries) != dim:
         raise SpecError(f"matrix must be a list of {dim} rows", "$.matrix")
+    # dim rows of dim [re, im] pairs whose parts are JSON numbers, not
+    # booleans, strings or null (a length-2 object or string iterates over
+    # strings), checked in C-level passes
+    flat = chain.from_iterable
     try:
-        pairs = np.asarray(entries, dtype=float)
-    except (TypeError, ValueError):
-        pairs = None
-    # numpy reads None as NaN; NaN goes through the per-entry path
-    if (pairs is not None and pairs.shape == (dim, dim, 2)
-            and not np.isnan(pairs).any()):
-        # set both parts, never re + 1j*im, so each entry is bit-exact
-        m = np.empty((dim, dim), dtype=complex)
-        m.real = pairs[..., 0]
-        m.imag = pairs[..., 1]
-        return m
-    # malformed: the per-entry checks below name the offending path
+        regular = (all(type(row) is list and len(row) == dim for row in entries)
+                   and set(map(len, flat(entries))) == {2})
+    except TypeError:  # a number or null in place of a pair
+        regular = False
+    values = list(flat(flat(entries))) if regular else [None]
+    if set(map(type, values)) <= {int, float}:
+        pairs = np.fromiter(values, dtype=float, count=len(values))
+        if not np.isnan(pairs).any():
+            # each float64 [re, im] pair is one complex128 entry, bit for bit
+            return pairs.view(complex).reshape(dim, dim)
+    # malformed or NaN: the per-entry checks below name the offending path
     m = np.zeros((dim, dim), dtype=complex)
     for i, row in enumerate(entries):
         if not isinstance(row, list) or len(row) != dim:
@@ -165,6 +169,9 @@ def _parse_matrix(entries, dim: int) -> np.ndarray:
         for j, pair in enumerate(row):
             if not isinstance(pair, list) or len(pair) != 2:
                 raise SpecError("entries must be [re, im] pairs", f"$.matrix[{i}][{j}]")
+            if any(isinstance(x, (bool, str)) for x in pair):
+                raise SpecError(f"entries must be JSON numbers, got {pair!r}",
+                                f"$.matrix[{i}][{j}]")
             try:
                 m[i, j] = complex(float(pair[0]), float(pair[1]))
             except (TypeError, ValueError) as exc:

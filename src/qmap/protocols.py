@@ -17,6 +17,7 @@ import io
 import math
 import os
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product
 from typing import Iterable, Sequence
 
@@ -115,10 +116,16 @@ def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
     phase normalization of the triangular factor's diagonal."""
     if d < 1:
         raise ValueError("d must be >= 1")
-    g = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / math.sqrt(2)
+    return _haar_from_normals(rng.standard_normal((2, d, d)))
+
+
+def _haar_from_normals(normals: np.ndarray) -> np.ndarray:
+    """`haar_unitary` of each (2, d, d) draw of standard normals (real and
+    imaginary parts) in a stack (..., 2, d, d), by one stacked QR."""
+    g = (normals[..., 0, :, :] + 1j * normals[..., 1, :, :]) / math.sqrt(2)
     q, r = np.linalg.qr(g)
-    phases = np.diag(r) / np.abs(np.diag(r))
-    return q * phases
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (diag / np.abs(diag))[..., None, :]
 
 
 def weyl_unitaries(d: int) -> list[np.ndarray]:
@@ -145,26 +152,45 @@ class UnitaryFamily:
     seed: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        eye = np.eye(self.dim)
         for copies in self.per_index:
             if len(copies) != self.n:
                 raise ValueError(f"each index needs {self.n} per-copy unitaries")
             for u in copies:
                 if u.shape != (self.dim, self.dim):
                     raise DimensionError(f"per-copy unitary has shape {u.shape}")
-                require(np.max(np.abs(u.conj().T @ u - eye)), UNITARY_TOL,
-                        StateValidationError, "family member is not unitary")
+        u = self.stack
+        dev = np.max(np.abs(np.swapaxes(u.conj(), -1, -2) @ u - np.eye(self.dim)), initial=0.0)
+        require(dev, UNITARY_TOL, StateValidationError, "family member is not unitary")
+
+    @cached_property
+    def stack(self) -> np.ndarray:
+        """Every per-copy unitary in one read-only (K, n, d, d) array: [k, i]
+        is per_index[k][i]."""
+        u = np.array(self.per_index, dtype=complex).reshape(
+            self.size, self.n, self.dim, self.dim)
+        u.flags.writeable = False
+        return u
 
     @property
     def size(self) -> int:
         return len(self.per_index)
 
+    @cached_property
+    def blocks(self) -> np.ndarray:
+        """Every block unitary in one read-only (K, d^n, d^n) array: [k] is the
+        tensor product of per_index[k], multiplied entry by entry as `np.kron`
+        does."""
+        u = self.stack[:, 0]
+        for i in range(1, self.n):
+            v = self.stack[:, i]
+            u = (u[:, :, None, :, None] * v[:, None, :, None, :]).reshape(
+                self.size, len(u[0]) * self.dim, -1)
+        u.flags.writeable = False
+        return u
+
     def block(self, k: int) -> np.ndarray:
         """Realized block unitary: tensor product of the per-copy factors."""
-        u = self.per_index[k][0]
-        for v in self.per_index[k][1:]:
-            u = np.kron(u, v)
-        return u
+        return self.blocks[k]
 
 
 def make_family(kind: str, z: int, n: int, d: int, size: int, master_seed: int,
@@ -175,7 +201,8 @@ def make_family(kind: str, z: int, n: int, d: int, size: int, master_seed: int,
     For "haar", factor (k, i) is drawn from derived_rng(master_seed, *prefix,
     k, i) and the family records seed=(master_seed, *prefix). Every caller
     passes its own prefix, which fixes its seed path; "pauli" and "identity"
-    ignore it.
+    ignore it. The draws are orthonormalized together by `_haar_from_normals`,
+    so each factor is `haar_unitary` of its own stream, bit for bit.
     """
     if kind == "pauli":
         return pauli_family(z, n, d, size=size)
@@ -186,9 +213,13 @@ def make_family(kind: str, z: int, n: int, d: int, size: int, master_seed: int,
     if size < 1 or n < 1:
         raise ValueError("K and n must be >= 1")
     seed = (int(master_seed), *prefix)
-    per_index = tuple(tuple(haar_unitary(d, derived_rng(*seed, k, i)) for i in range(n))
-                      for k in range(size))
-    return UnitaryFamily(z, n, d, per_index, kind="haar", seed=seed)
+    normals = np.empty((size, n, 2, d, d))
+    for k in range(size):
+        for i in range(n):
+            normals[k, i] = derived_rng(*seed, k, i).standard_normal((2, d, d))
+    u = _haar_from_normals(normals)
+    return UnitaryFamily(z, n, d, tuple(tuple(u[k]) for k in range(size)), kind="haar",
+                         seed=seed)
 
 
 def sample_family(z: int, n: int, K: int, d: int, master_seed: int) -> UnitaryFamily:
@@ -264,6 +295,19 @@ def encode(rho_n: DensityMatrix, families: Sequence[UnitaryFamily],
     return [by_index[i] for i in range(len(k_tuples))]
 
 
+def _stacked_walk(factor: np.ndarray, layout: SystemLayout, ops: Sequence[np.ndarray],
+                  groups: Sequence[Sequence[str]]) -> np.ndarray:
+    """The (N, d, r) stack of O_{Z,k_Z} ... O_{1,k_1} F for every index tuple k
+    in flat order, for a d x r matrix F on `layout` and sender z's operators
+    ops[z], a (K_z, d_z, d_z) stack acting on `groups[z]`. Level z applies
+    all K_z operators to all prefixes (k_1..k_{z-1}) in one stacked
+    `apply_local`, each product with the bits of its own call."""
+    stack = factor[None]
+    for op, on in zip(ops, groups):
+        stack = apply_local(stack[:, None], op, on, layout).reshape(-1, *factor.shape)
+    return stack
+
+
 def _encoded_factors(factor: np.ndarray, layout: SystemLayout,
                      families: Sequence[UnitaryFamily],
                      groups: Sequence[Sequence[str]]) -> list[np.ndarray]:
@@ -317,7 +361,7 @@ def randomize(rho_n: DensityMatrix, sender_groups: Sequence[Sequence[str]],
         if fam.dim ** fam.n != rho_n.layout.dim_of(group):
             raise DimensionError(
                 f"family dim {fam.dim}^{fam.n} does not match group {tuple(group)}")
-        out = _mix(out, [fam.block(k) for k in range(fam.size)], list(group))
+        out = _mix(out, fam.blocks, list(group))
     all_sender = [lab for g in sender_groups for lab in g]
     keep = set(all_sender) | set(w_labels)
     target = _randomization_target(partial_trace(rho_n, keep), all_sender)
@@ -458,13 +502,12 @@ def pgm_success_table(factor: np.ndarray, layout: SystemLayout,
     one beyond the POVM tolerances.
     """
     n = families[0].n
-    k_tuples = list(product(*[range(f.size) for f in families]))
-    count, rank = len(k_tuples), factor.shape[1]
+    count, rank = math.prod(f.size for f in families), factor.shape[1]
     gram = np.ones((count, 1, count, 1))
     for i in range(n):
-        walk = _prefix_walk(factor, lambda z, k: families[z].per_index[k][i], groups,
-                            k_tuples, lambda f, u, on: apply_local(f, u, on, layout))
-        cols = np.concatenate(list(walk), axis=1)  # column (k, a) is V_ki F e_a
+        # column (k, a) is V_ki F e_a
+        cols = _stacked_walk(factor, layout, [f.stack[:, i] for f in families],
+                             groups).transpose(1, 0, 2).reshape(len(factor), -1)
         copy = (cols.conj().T @ cols).reshape(count, rank, count, rank)
         width = gram.shape[1] * rank
         gram = np.einsum("xaYb,xcYd->xacYbd", gram, copy).reshape(
@@ -570,8 +613,8 @@ def sequential_decoder(rho: DensityMatrix, sender_groups: Sequence[Sequence[str]
         marginal = partial_trace(rho, labels)
         group = list(sender_groups[z])
         fam = families[z]
-        factors = _encoded_factors(_sqrt_factor(marginal.matrix), marginal.layout,
-                                   [fam], [group])
+        factors = _stacked_walk(_sqrt_factor(marginal.matrix), marginal.layout,
+                                [fam.blocks], [group])
         povm = _pgm(factors, [1.0 / fam.size] * fam.size, fold_completion=True)
         stages.append((marginal.layout.labels, [
             _kraus_pair(conjugate_local(_psd_power(povm.elements[k], 0.5),
@@ -793,13 +836,28 @@ def build_qmap_code(rho: DensityMatrix, senders: Sequence, b: Sequence[str],
 
 
 def _message_states(code: CodeSpec, rho_n: DensityMatrix):
-    """The message states in flat message order, built one at a time."""
-    for m_tuple in product(*[range(m) for m in code.message_counts]):
-        state = rho_n
-        for fam, group, m, l_z in zip(code.families, code.sender_groups, m_tuple,
-                                      code.block_sizes):
-            state = _mix(state, [fam.block(m * l_z + l) for l in range(l_z)], group)
-        yield state
+    """The message states in flat message order, built one at a time by a
+    `_prefix_walk` over the message tuples whose step `_mix`es sender z's
+    block of message m_z, so the messages that share (m_1..m_z) share its
+    mixture."""
+    sizes = code.block_sizes
+    return _prefix_walk(
+        rho_n, lambda z, m: code.families[z].blocks[m * sizes[z]:(m + 1) * sizes[z]],
+        code.sender_groups, product(*[range(m) for m in code.message_counts]), _mix)
+
+
+# the differences one stacked trace-norm call takes, in bytes (at least one
+# matrix): stacking pays where the matrices are small, and each call holds a
+# few times this in temporaries
+STACK_BYTES = 1 << 16
+
+
+def _trace_norms(stack: np.ndarray, ref: np.ndarray) -> tuple[float, ...]:
+    """trace_norm(x - ref) for each matrix x of a stack, from stacked calls on
+    at most STACK_BYTES of differences each."""
+    step = max(1, STACK_BYTES // ref.nbytes)
+    return tuple(float(v) for i in range(0, len(stack), step)
+                 for v in trace_norm(stack[i:i + step] - ref))
 
 
 def evaluate_code(code: CodeSpec, rho: DensityMatrix) -> SimulationReport:
@@ -827,15 +885,16 @@ def evaluate_code(code: CodeSpec, rho: DensityMatrix) -> SimulationReport:
 
     # each message state lives on exactly the leak labels, so its matrix is
     # its leakage marginal
-    msg_leaks = [state.matrix for state in _message_states(code, rho_n)]
+    msg_leaks = np.empty((code.message_space, rho_n.dim, rho_n.dim), dtype=complex)
+    for leak, state in zip(msg_leaks, _message_states(code, rho_n)):
+        leak[...] = state.matrix
     bar_leak = DensityMatrix(sum(msg_leaks) / len(msg_leaks), rho_n.layout)
     target = _randomization_target(bar_leak, sender_copy)
 
     samples = {
         "success": code.success,
-        "leakage": tuple(trace_norm(leak - bar_leak.matrix) for leak in msg_leaks),
-        "randomization_distance": tuple(trace_norm(leak - target.matrix)
-                                        for leak in msg_leaks),
+        "leakage": _trace_norms(msg_leaks, bar_leak.matrix),
+        "randomization_distance": _trace_norms(msg_leaks, target.matrix),
     }
     estimates = _mean_estimates(samples)
     estimates["epsilon"] = 1.0 - estimates["success"]
@@ -931,12 +990,11 @@ def chained_randomization_experiment(rho: DensityMatrix, senders: Sequence,
                     for z, (g, l) in enumerate(zip(groups, block_sizes), start=1)]
         stage_total = 0.0
         for z, (fam, (group, marg_n, target)) in enumerate(zip(families, stages), start=1):
-            unitaries = [fam.block(k) for k in range(fam.size)]
-            randomized = _mix(marg_n, unitaries, group)
+            randomized = _mix(marg_n, fam.blocks, group)
             dist = trace_norm(randomized.matrix - target.matrix)
             samples[f"stage_{z}_distance"].append(dist)
             stage_total += dist
-            chain = randomized if z == 1 else _mix(chain, unitaries, group)
+            chain = randomized if z == 1 else _mix(chain, fam.blocks, group)
         total = trace_norm(chain.matrix - total_target.matrix)
         require(total, stage_total + 1e-9, AssertionError,
                 "triangle chain violated: total {} > stage sum {}", total, stage_total)

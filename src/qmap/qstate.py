@@ -204,9 +204,10 @@ def label_groups(entries: Iterable) -> list[tuple[str, ...]]:
     return [_label_tuple(e) for e in entries]
 
 
-def _as_square_complex(matrix) -> np.ndarray:
+def _as_square_complex(matrix, stack: bool = False) -> np.ndarray:
+    """A square complex matrix, or with `stack` a stack (..., d, d) of them."""
     m = np.asarray(matrix, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or m.ndim > 2 and not stack or m.shape[-1] != m.shape[-2]:
         raise DimensionError(f"expected a square matrix, got shape {m.shape}")
     return m
 
@@ -247,9 +248,10 @@ def require(deviation, tol: float, error, message: str, *args) -> None:
 
 def _check_hermitian(m: np.ndarray, what: str) -> np.ndarray:
     """Raise StateValidationError unless max |m - m^dag| <= HERMITIAN_TOL, so a
-    NaN or infinite entry fails; `what` names `m` in the message. Returns the
-    d x d array the deviation was computed in, for the caller to reuse."""
-    scratch = np.conjugate(m.T, dtype=np.result_type(m, 0.5))
+    NaN or infinite entry fails (on every item of a stack (..., d, d)); `what`
+    names `m` in the message. Returns the array the deviation was computed
+    in, for the caller to reuse."""
+    scratch = np.conjugate(np.swapaxes(m, -1, -2), dtype=np.result_type(m, 0.5))
     # a NaN or infinite entry makes the deviation NaN or inf (inf - inf)
     with np.errstate(invalid="ignore"):
         scratch -= m
@@ -385,28 +387,38 @@ def _contract_local(m: np.ndarray, op, on: str | Sequence[str], layout: SystemLa
     The `on` factors are moved to the front of the rows (and of the columns
     when conjugating), O multiplies the grouped rows and conj(O) the grouped
     columns, and the factors are moved back. No layout-sized operator is built.
+    Without `conjugate`, m and O may be stacks (..., d, cols) and
+    (..., d_on, d_on) whose leading axes broadcast as in `np.matmul`; each item
+    is the same `op @ t` product a single call makes.
     """
-    op = _as_square_complex(op)
+    op = _as_square_complex(op, stack=not conjugate)
     plan = layout._plan(on)
-    if op.shape[0] != plan.d_on:
-        raise DimensionError(f"operator dim {op.shape[0]} != selected dim {plan.d_on}")
+    if op.shape[-1] != plan.d_on:
+        raise DimensionError(f"operator dim {op.shape[-1]} != selected dim {plan.d_on}")
     dims, d = layout.dims, layout.dim
     if conjugate:
         t = m.reshape(dims + dims).transpose(plan.both)
         t = (op @ t.reshape(plan.d_on, -1)).reshape(d, plan.d_on, plan.d_rest)
         t = np.matmul(op.conj(), t).reshape(plan.moved * 2)
         return t.transpose(plan.both_back).reshape(d, d)
-    cols = m.shape[1]
-    t = m.reshape(dims + (cols,)).transpose(plan.rows)
-    t = (op @ t.reshape(plan.d_on, -1)).reshape(plan.moved + (cols,))
-    return t.transpose(plan.rows_back).reshape(d, cols)
+    batch, cols = m.shape[:-2], m.shape[-1]
+    lead = tuple(range(len(batch)))
+    t = m.reshape(batch + dims + (cols,)).transpose(lead + tuple(len(lead) + a
+                                                                 for a in plan.rows))
+    t = op @ t.reshape(batch + (plan.d_on, -1))
+    batch, lead = t.shape[:-2], tuple(range(t.ndim - 2))
+    t = t.reshape(batch + plan.moved + (cols,))
+    back = lead + tuple(len(lead) + a for a in plan.rows_back)
+    return t.transpose(back).reshape(batch + (d, cols))
 
 
 def apply_local(m, op, on: Sequence[str], layout: SystemLayout) -> np.ndarray:
     """(O x I) m for an operator O on the `on` factors and a matrix m whose
-    rows are indexed by `layout` (any number of columns)."""
+    rows are indexed by `layout` (any number of columns). m may be a stack
+    (..., d, cols) and O a stack (..., d_on, d_on): their leading axes
+    broadcast as in `np.matmul`, and each item has the bits of a single call."""
     m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != layout.dim:
+    if m.ndim < 2 or m.shape[-2] != layout.dim:
         raise DimensionError(f"matrix shape {m.shape} does not match layout dim {layout.dim}")
     return _contract_local(m, op, on, layout, conjugate=False)
 
@@ -573,13 +585,16 @@ def conditional_mutual_information(s: DensityMatrix, a: Iterable[str],
     return conditional_entropy(s, a, c) - conditional_entropy(s, a, b | c)
 
 
-def trace_norm(x) -> float:
+def trace_norm(x) -> float | np.ndarray:
     """||X||_1 of a matrix that is Hermitian within HERMITIAN_TOL: the sum of
     the absolute eigenvalues. `eigvalsh` reads one triangle only, so a
-    non-Hermitian (or non-finite) X raises StateValidationError."""
-    x = _as_square_complex(x)
+    non-Hermitian (or non-finite) X raises StateValidationError. A stack
+    (..., d, d) gives the array of each item's norm (each checked), with the
+    bits of single calls."""
+    x = _as_square_complex(x, stack=True)
     _check_hermitian(x, "trace-norm argument")
-    return float(np.sum(np.abs(np.linalg.eigvalsh(x))))
+    norms = np.sum(np.abs(np.linalg.eigvalsh(x)), axis=-1)
+    return float(norms) if x.ndim == 2 else norms
 
 
 def random_density(layout: SystemLayout, rank: int, seed) -> DensityMatrix:

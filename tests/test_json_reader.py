@@ -152,6 +152,20 @@ class TestThroughTheCli:
         assert cli.main(["region", "--spec", str(path), "--out", str(tmp_path / "out")]) == 2
         assert "error: $.matrix: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("what", ["spec", "config"])
+    def test_unreadable_file_exits_2_naming_it(self, tmp_path, capsys, what):
+        paths = {"spec": tmp_path / "spec.json", "config": tmp_path / "config.json"}
+        paths["spec"].write_text('{"preset": {"name": "bell"}}')
+        paths["config"].write_text('{"rates": [0.5]}')
+        paths[what] = tmp_path / "a-directory"
+        paths[what].mkdir()
+        assert cli.main(["split", "--spec", str(paths["spec"]), "--config",
+                         str(paths["config"]), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: $: {what} file cannot be read: {paths[what]}: ")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
     def test_wide_master_seed_is_kept(self, tmp_path):
         seed = 36893488147419103232
         config = tmp_path / "config.json"

@@ -9,6 +9,7 @@ the CLI, and an oversized message space refused before any family is drawn.
 """
 
 import json
+import math
 import time
 from itertools import product
 
@@ -111,7 +112,9 @@ def test_table_code_builds_nothing_of_dimension_d_to_the_n(monkeypatch):
         monkeypatch.setattr(protocols, name, recording)
     evaluate_code(code, rho)
     leak_dim = ABBE.dim_of(["A1", "A2", "E"])
-    assert len(dims) == 1 + code.z_count * code.message_space
+    # one `_mix` per distinct message prefix (m_1..m_z): sum_z prod_{y<=z} M_y
+    mixes = sum(math.prod(code.message_counts[:z + 1]) for z in range(code.z_count))
+    assert len(dims) == 1 + mixes
     assert max(dims) == leak_dim ** n < rho.dim ** n
 
 

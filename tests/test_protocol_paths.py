@@ -155,13 +155,14 @@ def test_evaluate_code_message_states_match_encode_mean(family, monkeypatch):
     mixes = []
     inner = protocols._mix
 
-    def recording(*args):
-        mixes.append(inner(*args))
-        return mixes[-1]
+    def recording(rho, unitaries, on):
+        mixes.append((list(on), inner(rho, unitaries, on)))
+        return mixes[-1][1]
 
     monkeypatch.setattr(protocols, "_mix", recording)
     report = evaluate_code(code, spec.state)
-    states = mixes[code.z_count - 1::code.z_count]  # the last sender's mix per message
+    # the last sender's mix per message
+    states = [out for on, out in mixes if on == list(code.sender_groups[-1])]
     rho_n = tensor_power(spec.state, code.n)
     sizes = [f.size for f in code.families]
     every_tuple = encode(rho_n, code.families, code.sender_groups,

@@ -43,6 +43,12 @@ MALFORMED = [
     ("matrix-rows-numbers", {**EXPLICIT, "matrix": [5, 5, 5, 5]}, "$.matrix[0]"),
     ("matrix-entry-an-object", {**EXPLICIT, "matrix": [[{"re": 1, "im": 0}] * 4] * 4},
      "$.matrix[0][0]"),
+    # "0.5" and false would read as 0.5 and 0.0, a valid state
+    ("matrix-entry-a-string", {**EXPLICIT, "matrix": [
+        BELL_MATRIX[0], BELL_MATRIX[1], BELL_MATRIX[2],
+        [["0.5", 0], [0, 0], [0, 0], [0.5, 0]]]}, "$.matrix[3][0]"),
+    ("matrix-entry-a-boolean", {**EXPLICIT, "matrix": [
+        [[0.5, 0], [0, 0], [0, False], [0.5, 0]], *BELL_MATRIX[1:]]}, "$.matrix[0][2]"),
     ("explicit-without-senders", {k: v for k, v in EXPLICIT.items() if k != "senders"},
      "$.senders"),
 ]

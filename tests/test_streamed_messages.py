@@ -1,8 +1,9 @@
 """`evaluate_code` builds its message states one at a time.
 
-Each message state is the last `_mix` of that message. The recording
-wrapper keeps only weak references, so a state counts as alive only while
-`evaluate_code` itself still holds it.
+Each message state is the last sender's `_mix` on a prefix walk over the
+message tuples, so beside it only the current prefix chain is kept. The
+recording wrapper keeps only weak references, so a state counts as alive
+only while `evaluate_code` itself still holds it.
 """
 
 import gc
@@ -18,19 +19,22 @@ def test_at_most_one_earlier_message_state_is_alive(monkeypatch):
     code = build_qmap_code(spec.state, spec.senders, spec.receiver, spec.eavesdropper,
                            1, [1, 1], ([1, 1], [0, 0]), 0, family="pauli")
     assert code.message_space == 4
-    results = []  # a weak reference to each _mix result, in call order
+    last = list(code.sender_groups[-1])
+    messages = []  # a weak reference to each message state, in call order
     alive = []  # per call: how many earlier message states are still alive
     inner = protocols._mix
 
-    def recording(*args):
+    def recording(rho, unitaries, on):
         gc.collect()
-        messages = results[code.z_count - 1::code.z_count]
         alive.append(sum(ref() is not None for ref in messages))
-        out = inner(*args)
-        results.append(weakref.ref(out))
+        out = inner(rho, unitaries, on)
+        if list(on) == last:
+            messages.append(weakref.ref(out))
         return out
 
     monkeypatch.setattr(protocols, "_mix", recording)
     report = evaluate_code(code, spec.state)
-    assert len(alive) == code.z_count * code.message_space == 2 * report.trials
+    # two sender-1 mixtures, each shared by two messages
+    assert len(messages) == code.message_space == report.trials
+    assert len(alive) == 2 + code.message_space
     assert max(alive) <= 1, alive
