@@ -156,12 +156,15 @@ def _parse_matrix(entries, dim: int) -> np.ndarray:
     except TypeError:  # a number or null in place of a pair
         regular = False
     values = list(flat(flat(entries))) if regular else [None]
-    if set(map(type, values)) <= {int, float}:
-        pairs = np.fromiter(values, dtype=float, count=len(values))
-        if not np.isnan(pairs).any():
-            # each float64 [re, im] pair is one complex128 entry, bit for bit
-            return pairs.view(complex).reshape(dim, dim)
-    # malformed or NaN: the per-entry checks below name the offending path
+    try:
+        if set(map(type, values)) <= {int, float}:
+            pairs = np.fromiter(values, dtype=float, count=len(values))
+            if not np.isnan(pairs).any():
+                # each float64 [re, im] pair is one complex128 entry, bit for bit
+                return pairs.view(complex).reshape(dim, dim)
+    except OverflowError:  # an integer beyond a double's range
+        pass
+    # malformed, NaN or too large: the per-entry checks below name the offending path
     m = np.zeros((dim, dim), dtype=complex)
     for i, row in enumerate(entries):
         if not isinstance(row, list) or len(row) != dim:
@@ -174,7 +177,7 @@ def _parse_matrix(entries, dim: int) -> np.ndarray:
                                 f"$.matrix[{i}][{j}]")
             try:
                 m[i, j] = complex(float(pair[0]), float(pair[1]))
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise SpecError(f"entries must be numbers: {exc}",
                                 f"$.matrix[{i}][{j}]") from exc
     return m

@@ -18,7 +18,7 @@ import math
 import os
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import product
+from itertools import islice, product
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -147,29 +147,24 @@ class UnitaryFamily:
     z: int
     n: int
     dim: int
-    per_index: tuple[tuple[np.ndarray, ...], ...]  # K entries of n per-copy unitaries
+    per_index: np.ndarray  # read-only (K, n, d, d): [k, i] is copy i's factor of index k
     kind: str = "haar"
     seed: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        for copies in self.per_index:
-            if len(copies) != self.n:
-                raise ValueError(f"each index needs {self.n} per-copy unitaries")
-            for u in copies:
-                if u.shape != (self.dim, self.dim):
-                    raise DimensionError(f"per-copy unitary has shape {u.shape}")
-        u = self.stack
-        dev = np.max(np.abs(np.swapaxes(u.conj(), -1, -2) @ u - np.eye(self.dim)), initial=0.0)
+        """Store `per_index`, any nested sequence of shape (K, n, d, d), as one
+        read-only complex array, after one check: K >= 1, n >= 1, the shape and
+        max |U^dag U - I| within UNITARY_TOL (a NaN fails)."""
+        u = np.array(self.per_index, dtype=complex)
+        if self.n < 1 or u.size == 0:
+            raise ValueError("K and n must be >= 1")
+        if u.ndim != 4 or u.shape[1:] != (self.n, self.dim, self.dim):
+            raise DimensionError(
+                f"per_index has shape {u.shape}, not (K, {self.n}, {self.dim}, {self.dim})")
+        dev = np.max(np.abs(np.swapaxes(u.conj(), -1, -2) @ u - np.eye(self.dim)))
         require(dev, UNITARY_TOL, StateValidationError, "family member is not unitary")
-
-    @cached_property
-    def stack(self) -> np.ndarray:
-        """Every per-copy unitary in one read-only (K, n, d, d) array: [k, i]
-        is per_index[k][i]."""
-        u = np.array(self.per_index, dtype=complex).reshape(
-            self.size, self.n, self.dim, self.dim)
         u.flags.writeable = False
-        return u
+        object.__setattr__(self, "per_index", u)
 
     @property
     def size(self) -> int:
@@ -180,9 +175,9 @@ class UnitaryFamily:
         """Every block unitary in one read-only (K, d^n, d^n) array: [k] is the
         tensor product of per_index[k], multiplied entry by entry as `np.kron`
         does."""
-        u = self.stack[:, 0]
+        u = self.per_index[:, 0]
         for i in range(1, self.n):
-            v = self.stack[:, i]
+            v = self.per_index[:, i]
             u = (u[:, :, None, :, None] * v[:, None, :, None, :]).reshape(
                 self.size, len(u[0]) * self.dim, -1)
         u.flags.writeable = False
@@ -210,50 +205,35 @@ def make_family(kind: str, z: int, n: int, d: int, size: int, master_seed: int,
         return identity_family(z, n, d, size=size)
     if kind != "haar":
         raise ValueError(f"unknown family kind {kind!r}")
-    if size < 1 or n < 1:
-        raise ValueError("K and n must be >= 1")
     seed = (int(master_seed), *prefix)
-    normals = np.empty((size, n, 2, d, d))
-    for k in range(size):
-        for i in range(n):
-            normals[k, i] = derived_rng(*seed, k, i).standard_normal((2, d, d))
-    u = _haar_from_normals(normals)
-    return UnitaryFamily(z, n, d, tuple(tuple(u[k]) for k in range(size)), kind="haar",
-                         seed=seed)
-
-
-def sample_family(z: int, n: int, K: int, d: int, master_seed: int) -> UnitaryFamily:
-    """K independent Haar tensor-product unitaries; factor (k, i) has its own
-    counter stream derived_rng(master_seed, z, k, i)."""
-    return make_family("haar", z, n, d, K, master_seed, (z,))
+    # a count below 1 draws nothing and is refused by UnitaryFamily
+    normals = np.empty((max(size, 0), max(n, 0), 2, d, d))
+    for k, i in np.ndindex(normals.shape[:2]):
+        normals[k, i] = derived_rng(*seed, k, i).standard_normal((2, d, d))
+    return UnitaryFamily(z, n, d, _haar_from_normals(normals), kind="haar", seed=seed)
 
 
 def pauli_family(z: int, n: int, d: int, size: int | None = None) -> UnitaryFamily:
     """Deterministic Weyl-Heisenberg family; the full size (d^2)^n realizes
     an exact twirl to the maximally mixed state."""
-    singles = weyl_unitaries(d)
+    singles = np.array(weyl_unitaries(d))
     full = len(singles) ** n
     if size is None:
         size = full
     if not 1 <= size <= full:
         raise ValueError(f"size must be in [1, {full}]")
-    per_index = []
-    for combo in product(range(len(singles)), repeat=n):
-        if len(per_index) == size:
-            break
-        per_index.append(tuple(singles[c] for c in combo))
-    return UnitaryFamily(z, n, d, tuple(per_index), kind="pauli")
+    combos = np.array(list(islice(product(range(len(singles)), repeat=n), size)), dtype=int)
+    return UnitaryFamily(z, n, d, singles[combos], kind="pauli")
 
 
 def identity_family(z: int, n: int, d: int, size: int = 1) -> UnitaryFamily:
-    eye = np.eye(d)
-    return UnitaryFamily(z, n, d, tuple(tuple(eye for _ in range(n))
-                                        for _ in range(size)), kind="identity")
+    return UnitaryFamily(z, n, d, np.broadcast_to(np.eye(d), (max(size, 0), max(n, 0), d, d)),
+                         kind="identity")
 
 
-def _prefix_walk(root, block, groups: Sequence[Sequence[str]], k_tuples, step):
+def _prefix_walk(root, ops, groups: Sequence[Sequence[str]], k_tuples, step):
     """For each index tuple in the given order, yield `root` after
-    `step(x, block(z, k_z), groups[z])` has applied each sender's unitary in turn.
+    `step(x, ops[z][k_z], groups[z])` has applied each sender's operator in turn.
 
     Only the steps after the prefix shared with the previous tuple are
     recomputed, and only the current prefix chain is kept alive.
@@ -268,7 +248,7 @@ def _prefix_walk(root, block, groups: Sequence[Sequence[str]], k_tuples, step):
             shared += 1
         del chain[shared + 1:]
         for z in range(shared, len(k_tuple)):
-            chain.append(step(chain[-1], block(z, k_tuple[z]), list(groups[z])))
+            chain.append(step(chain[-1], ops[z][k_tuple[z]], list(groups[z])))
         previous = k_tuple
         yield chain[-1]
 
@@ -288,7 +268,7 @@ def encode(rho_n: DensityMatrix, families: Sequence[UnitaryFamily],
     if any(len(t) != len(families) for t in k_tuples):
         raise ValueError(f"each index tuple needs {len(families)} entries")
     order = sorted(range(len(k_tuples)), key=k_tuples.__getitem__)
-    walk = _prefix_walk(rho_n.matrix, lambda z, k: families[z].block(k), groups,
+    walk = _prefix_walk(rho_n.matrix, [f.blocks for f in families], groups,
                         [k_tuples[i] for i in order],
                         lambda m, u, on: conjugate_local(m, u, on, rho_n.layout))
     by_index = {i: DensityMatrix(m, rho_n.layout) for i, m in zip(order, walk)}
@@ -306,18 +286,6 @@ def _stacked_walk(factor: np.ndarray, layout: SystemLayout, ops: Sequence[np.nda
     for op, on in zip(ops, groups):
         stack = apply_local(stack[:, None], op, on, layout).reshape(-1, *factor.shape)
     return stack
-
-
-def _encoded_factors(factor: np.ndarray, layout: SystemLayout,
-                     families: Sequence[UnitaryFamily],
-                     groups: Sequence[Sequence[str]]) -> list[np.ndarray]:
-    """Square-root factors U_k F of `encode`'s states for each index tuple k in
-    flat order, from a factor F with F F^dag = rho on `layout` (as
-    `pgm_success_table` takes it), with sender z's unitary applied on
-    `groups[z]` once per prefix."""
-    return list(_prefix_walk(factor, lambda z, k: families[z].block(k),
-                             groups, product(*[range(f.size) for f in families]),
-                             lambda f, u, on: apply_local(f, u, on, layout)))
 
 
 def _running_sum(terms: Iterable[np.ndarray]) -> np.ndarray:
@@ -506,7 +474,7 @@ def pgm_success_table(factor: np.ndarray, layout: SystemLayout,
     gram = np.ones((count, 1, count, 1))
     for i in range(n):
         # column (k, a) is V_ki F e_a
-        cols = _stacked_walk(factor, layout, [f.stack[:, i] for f in families],
+        cols = _stacked_walk(factor, layout, [f.per_index[:, i] for f in families],
                              groups).transpose(1, 0, 2).reshape(len(factor), -1)
         copy = (cols.conj().T @ cols).reshape(count, rank, count, rank)
         width = gram.shape[1] * rank
@@ -528,20 +496,14 @@ def _message_factors(factor: np.ndarray, layout: SystemLayout, n: int,
                      families: Sequence[UnitaryFamily], groups: Sequence[Sequence[str]],
                      blocks: np.ndarray) -> list[np.ndarray]:
     """Per message m, the factors U_k F^(x)n of the L index tuples k in row m of
-    `blocks` side by side, filled from one encoding walk: F_m F_m^dag = L rho_m."""
+    `blocks` side by side, from one `_stacked_walk` over the block unitaries:
+    F_m F_m^dag = L rho_m."""
     factor_n = factor
     for _ in range(n - 1):
         factor_n = np.kron(factor_n, factor)
-    width = factor_n.shape[1]
-    # `blocks` holds each flat index once, so argsort gives each one's (row, column)
-    rows, cols = np.divmod(np.argsort(blocks, axis=None), blocks.shape[1])
-    out = [np.empty((len(factor_n), blocks.shape[1] * width), dtype=complex)
-           for _ in range(len(blocks))]
-    walk = _encoded_factors(factor_n, layout.power(n), families,
-                            [SystemLayout.copy_major(g, n) for g in groups])
-    for k, f in enumerate(walk):
-        out[rows[k]][:, cols[k] * width:(cols[k] + 1) * width] = f
-    return out
+    stack = _stacked_walk(factor_n, layout.power(n), [f.blocks for f in families],
+                          [SystemLayout.copy_major(g, n) for g in groups])
+    return [np.hstack(stack[row]) for row in blocks]
 
 
 def _read_success(elements: Sequence[np.ndarray], factors: Sequence[np.ndarray],
@@ -840,10 +802,10 @@ def _message_states(code: CodeSpec, rho_n: DensityMatrix):
     `_prefix_walk` over the message tuples whose step `_mix`es sender z's
     block of message m_z, so the messages that share (m_1..m_z) share its
     mixture."""
-    sizes = code.block_sizes
-    return _prefix_walk(
-        rho_n, lambda z, m: code.families[z].blocks[m * sizes[z]:(m + 1) * sizes[z]],
-        code.sender_groups, product(*[range(m) for m in code.message_counts]), _mix)
+    ops = [f.blocks.reshape(m, l, *f.blocks.shape[1:])
+           for f, m, l in zip(code.families, code.message_counts, code.block_sizes)]
+    return _prefix_walk(rho_n, ops, code.sender_groups,
+                        product(*[range(m) for m in code.message_counts]), _mix)
 
 
 # the differences one stacked trace-norm call takes, in bytes (at least one
@@ -966,12 +928,16 @@ def chained_randomization_experiment(rho: DensityMatrix, senders: Sequence,
     draws; reports per-stage and total distances and asserts the triangle
     chain total <= sum of stages. Stage z mixes sender z on the n-copy
     marginal of senders z..Z and W, and the total mixes senders 2..Z onto
-    stage 1's state, so the budget bounds (senders + W)^(x)n, not rho^(x)n."""
+    stage 1's state, so the budget bounds (senders + W)^(x)n, not rho^(x)n.
+    Before any marginal or family is built, the largest block size is bounded
+    by 2^budget_qubits(), as a code's index space is."""
     _check_trials(trials)
     groups = label_groups(senders)
     z_count = len(groups)
     if len(block_sizes) != z_count:
         raise ValueError("one block size per sender required")
+    # a size below 1 is left for its family to refuse
+    _check_index_space(math.log2(max([1, *block_sizes])))
     copy_groups = [SystemLayout.copy_major(g, n) for g in groups]
 
     stages = []

@@ -316,3 +316,21 @@ class TestFamilyKinds:
             cfg = write_json(tmp_path / f"{family}.json", dict(config, family=family))
             assert main([command, "--spec", bell_spec, "--config", cfg,
                          "--out", str(tmp_path / family), "--seed", "1"]) == code
+
+    @pytest.mark.parametrize("family", ["haar", "pauli", "identity"])
+    @pytest.mark.parametrize("command, config", [
+        ("simulate-randomization", {"n": 1, "block_sizes": [0], "trials": 1}),
+        ("simulate-randomization", {"n": 1, "block_sizes": [-2], "trials": 1}),
+        ("simulate-encoding", {"n": 1, "k_sweep": [0], "trials": 1}),
+    ], ids=["block-size-0", "block-size-minus-2", "k-sweep-0"])
+    def test_a_family_size_below_one_exits_2(self, bell_spec, tmp_path, capsys, command,
+                                             config, family):
+        cfg = write_json(tmp_path / "config.json", dict(config, family=family))
+        out = tmp_path / "out"
+        assert main([command, "--spec", bell_spec, "--config", cfg, "--out", str(out),
+                     "--seed", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert ("size must be in [1, 4]" if family == "pauli"
+                else "K and n must be >= 1") in err
+        assert not out.exists()

@@ -15,15 +15,15 @@ from qmap.protocols import (
     POVM_PSD_TOL,
     PINV_CUTOFF,
     Povm,
-    _encoded_factors,
     _pgm,
     _psd_power,
     _sqrt_factor,
+    _stacked_walk,
     derived_rng,
     encode,
     haar_unitary,
+    make_family,
     pgm_decoder,
-    sample_family,
 )
 from qmap.qstate import (
     PSD_TOL,
@@ -137,7 +137,8 @@ class TestEncode:
         layout = SystemLayout(tuple([(f"A{i}", 2) for i in range(1, z + 1)] + [("B", 2)]))
         rho = random_density(layout, layout.dim, 11)
         groups = [(f"A{i}",) for i in range(1, z + 1)]
-        families = [sample_family(i + 1, 1, k, 2, 5) for i, k in enumerate(sizes)]
+        families = [make_family("haar", z, 1, 2, k, 5, (z,))
+                    for z, k in enumerate(sizes, start=1)]
         k_tuples = list(product(*[range(k) for k in sizes]))
         rng = np.random.default_rng(z)
         rng.shuffle(k_tuples)
@@ -152,7 +153,7 @@ class TestEncode:
         spec = resolve_state_spec({"preset": {"name": "two-bell"}})
         rho_n = tensor_power(spec.state, 2)
         groups = [("A1_1", "A1_2"), ("A2_1", "A2_2")]
-        families = [sample_family(z, 2, 3, 2, 9) for z in (1, 2)]
+        families = [make_family("haar", z, 2, 2, 3, 9, (z,)) for z in (1, 2)]
         k_tuples = [(2, 0), (0, 1), (2, 2), (0, 0)]
         got = encode(rho_n, families, groups, k_tuples)
         want = _naive_encode(rho_n, families, groups, k_tuples)
@@ -162,7 +163,7 @@ class TestEncode:
     def test_rejects_wrong_tuple_length(self):
         layout = SystemLayout((("A1", 2), ("B", 2)))
         rho = random_density(layout, 4, 1)
-        fam = sample_family(1, 1, 2, 2, 3)
+        fam = make_family("haar", 1, 1, 2, 2, 3, (1,))
         with pytest.raises(ValueError):
             encode(rho, [fam], [("A1",)], [(0, 1)])
 
@@ -181,11 +182,12 @@ class TestGramPgm:
     def test_factor_path_matches_bare_state_path(self):
         spec = resolve_state_spec({"preset": {"name": "two-bell"}})
         rho = spec.state
-        families = [sample_family(z, 1, 2, 2, 4) for z in (1, 2)]
+        families = [make_family("haar", z, 1, 2, 2, 4, (z,)) for z in (1, 2)]
         groups = [("A1",), ("A2",)]
         k_tuples = list(product(range(2), range(2)))
-        povm = _pgm(_encoded_factors(_sqrt_factor(rho.matrix), rho.layout, families, groups),
-                    [0.25] * 4)
+        factors = _stacked_walk(_sqrt_factor(rho.matrix), rho.layout,
+                                [f.blocks for f in families], groups)
+        povm = _pgm(factors, [0.25] * 4)
         bare = pgm_decoder(encode(rho, families, groups, k_tuples), [0.25] * 4)
         assert len(povm) == len(bare)
         for a, b in zip(povm.elements, bare.elements):
@@ -215,7 +217,8 @@ class TestSeed22Regression:
         eig = np.linalg.eigvalsh(avg)
         assert eig[0] < 1e-9 * eig[-1]  # the ill-conditioned case
         bare = pgm_decoder(encoded, [1 / 16] * 16)
-        factors = _encoded_factors(_sqrt_factor(rho_n.matrix), rho_n.layout, families, groups)
+        factors = _stacked_walk(_sqrt_factor(rho_n.matrix), rho_n.layout,
+                                [f.blocks for f in families], groups)
         for povm in (_pgm(factors, [1 / 16] * 16), bare):
             for el in povm.elements:
                 assert np.min(np.linalg.eigvalsh(el)) > -1e-12

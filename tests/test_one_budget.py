@@ -130,3 +130,19 @@ def test_verify_lemmas_refuses_sizes_past_the_budget(monkeypatch, tmp_path, caps
 def test_encoding_experiment_rejects_a_repeated_size(bell):
     with pytest.raises(ValueError, match="k_sweep sizes must be distinct"):
         encoding_experiment(bell.state, bell.senders, 1, [2, 2], 2, 3)
+
+
+def test_randomization_refuses_a_block_size_past_the_budget(monkeypatch, tmp_path, capsys):
+    """bell with L = 2^14 index tuples per family, above the default 2^12:
+    refused before any marginal or family is built, as a K of 2^14 is."""
+    monkeypatch.delenv("QMAP_BUDGET_QUBITS", raising=False)
+
+    def past_budget(*args, **kwargs):
+        raise PastBudget
+
+    for name in ("partial_trace", "make_family"):
+        monkeypatch.setattr(protocols, name, past_budget)
+    config = {"block_sizes": [2 ** 14], "trials": 1}
+    assert run(tmp_path, "simulate-randomization", config, BELL, seed=0) == 4
+    assert "error: index space 2^14 exceeds budget 4096" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

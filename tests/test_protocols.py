@@ -18,11 +18,11 @@ from qmap.protocols import (
     evaluate_code,
     haar_unitary,
     identity_family,
+    make_family,
     pauli_family,
     pgm_decoder,
     povm_success,
     randomize,
-    sample_family,
     sequential_decoder,
     typical_projector,
     union_bound_check,
@@ -84,13 +84,13 @@ class TestUnitarySampling:
 
 
 class TestUnitaryFamily:
-    def test_sample_family_reproducible_from_master_seed(self):
-        f1 = sample_family(1, 2, 3, 2, 99)
-        f2 = sample_family(1, 2, 3, 2, 99)
+    def test_haar_family_reproducible_from_master_seed(self):
+        f1 = make_family("haar", 1, 2, 2, 3, 99, (1,))
+        f2 = make_family("haar", 1, 2, 2, 3, 99, (1,))
         assert np.array_equal(f1.block(2), f2.block(2))
 
     def test_block_is_kron_of_factors(self):
-        fam = sample_family(1, 2, 1, 2, 5)
+        fam = make_family("haar", 1, 2, 2, 1, 5, (1,))
         expected = np.kron(fam.per_index[0][0], fam.per_index[0][1])
         assert np.array_equal(fam.block(0), expected)
 
@@ -173,7 +173,7 @@ class TestSequentialDecoder:
     def test_matches_direct_success_evaluation(self):
         from qmap.qstate import apply_unitary
         spec = _preset("two-bell", {})
-        fams = [sample_family(1, 1, 2, 2, 3), sample_family(2, 1, 2, 2, 3)]
+        fams = [make_family("haar", z, 1, 2, 2, 3, (z,)) for z in (1, 2)]
         povm, success = sequential_decoder(
             spec.state, spec.senders, spec.receiver, fams)
         states = []
@@ -307,7 +307,7 @@ class TestCodes:
 
     def test_randomization_preserves_w_marginal(self):
         rho = bell_pair()
-        fam = sample_family(1, 1, 4, 2, 23)
+        fam = make_family("haar", 1, 1, 2, 4, 23, (1,))
         out, _ = randomize(rho, [("A1",)], ["B"], [fam])
         before = partial_trace(rho, ["B"]).matrix
         after = partial_trace(out, ["B"]).matrix

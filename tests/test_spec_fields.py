@@ -49,6 +49,14 @@ MALFORMED = [
         [["0.5", 0], [0, 0], [0, 0], [0.5, 0]]]}, "$.matrix[3][0]"),
     ("matrix-entry-a-boolean", {**EXPLICIT, "matrix": [
         [[0.5, 0], [0, 0], [0, False], [0.5, 0]], *BELL_MATRIX[1:]]}, "$.matrix[0][2]"),
+    # an integer of 401 digits overflows a double: on the regular matrix's
+    # fast path, and on the per-entry path that a NaN later in the matrix takes
+    ("matrix-entry-too-large", {**EXPLICIT, "matrix": [
+        BELL_MATRIX[0], [[10 ** 400, 0]] + [[0, 0]] * 3, *BELL_MATRIX[2:]]},
+     "$.matrix[1][0]"),
+    ("matrix-entry-too-large-before-a-nan", {**EXPLICIT, "matrix": [
+        BELL_MATRIX[0], [[0, -10 ** 400]] + [[0, 0]] * 3, BELL_MATRIX[2],
+        [[0.5, 0], [0, 0], [0, 0], [float("nan"), 0]]]}, "$.matrix[1][0]"),
     ("explicit-without-senders", {k: v for k, v in EXPLICIT.items() if k != "senders"},
      "$.senders"),
 ]

@@ -20,7 +20,8 @@ from qmap.protocols import (
     PINV_CUTOFF,
     RANK_CUTOFF,
     UnitaryFamily,
-    _encoded_factors,
+    _message_blocks,
+    _message_factors,
     _message_states,
     _mix,
     _prefix_walk,
@@ -100,7 +101,6 @@ class TestHaarFamily:
         for k, i in product(range(size), range(n)):
             want = haar_unitary(d, derived_rng(17, 5, 2, k, i))
             assert same_bits(family.per_index[k][i], want), (k, i)
-            assert same_bits(family.stack[k, i], want)
 
     @pytest.mark.parametrize("kind", ["haar", "pauli", "identity"])
     def test_blocks_are_kron_products(self, kind):
@@ -184,7 +184,7 @@ def test_message_states_match_the_per_message_mix_chain(state, n, rates, splits,
 
 def _per_tuple_factors(factor, layout, ops, groups):
     """The per-tuple walk: one `apply_local` per (prefix, operator)."""
-    return list(_prefix_walk(factor, lambda z, k: ops[z][k], groups,
+    return list(_prefix_walk(factor, ops, groups,
                              product(*[range(len(o)) for o in ops]),
                              lambda f, u, on: apply_local(f, u, on, layout)))
 
@@ -234,7 +234,41 @@ def test_stacked_blocks_walk_matches_the_per_tuple_walk():
                 for z, size in zip((1, 2, 3), (3, 2, 4))]
     factor = _sqrt_factor(rho.matrix)
     stacked = _stacked_walk(factor, rho.layout, [f.blocks for f in families], groups)
-    want = _encoded_factors(factor, rho.layout, families, groups)
+    want = _per_tuple_factors(factor, rho.layout, [f.blocks for f in families], groups)
     assert len(stacked) == len(want) == 24
     for got, f in zip(stacked, want):
         assert same_bits(got, f)
+
+
+def _werner():
+    spec = resolve_state_spec({"preset": {"name": "werner", "params": {"p": 0.9}}})
+    return spec, [("A1",)]
+
+
+MESSAGE_FACTORS = [  # (state, n, message counts, block sizes)
+    (_werner, 2, (2,), (4,)),
+    (_ghz4, 1, (2, 1, 2), (2, 2, 1)),
+    (_two_bell, 2, (2, 2), (2, 2)),
+]
+
+
+@pytest.mark.parametrize("state, n, counts, sizes", MESSAGE_FACTORS,
+                         ids=["werner-2", "ghz4-1", "two-bell-2"])
+def test_message_factors_match_the_per_tuple_walk(state, n, counts, sizes):
+    """Message m's factor is the per-tuple factors of row m of `blocks`,
+    side by side, on the n-copy layout."""
+    spec, groups = state()
+    rho = spec.state
+    families = [make_family("haar", z, n, rho.layout.dim_of(g), m * l, 5, (z,))
+                for z, (g, m, l) in enumerate(zip(groups, counts, sizes), start=1)]
+    blocks = _message_blocks(counts, sizes)
+    factor = _sqrt_factor(rho.matrix, cutoff=RANK_CUTOFF)
+    got = _message_factors(factor, rho.layout, n, families, groups, blocks)
+    factor_n = factor
+    for _ in range(n - 1):
+        factor_n = np.kron(factor_n, factor)
+    tuples = _per_tuple_factors(factor_n, rho.layout.power(n), [f.blocks for f in families],
+                                [SystemLayout.copy_major(g, n) for g in groups])
+    assert len(got) == len(blocks)
+    for row, f in zip(blocks, got):
+        assert same_bits(f, np.concatenate([tuples[k] for k in row], axis=1)), row
