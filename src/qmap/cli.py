@@ -163,11 +163,12 @@ def cmd_split(spec: ResolvedSpec, config: dict, out_dir: Path, seed: None) -> in
     return EXIT_OK
 
 
-def _trials(config: dict) -> int:
-    trials = _field(config, "trials", int, 1)
-    if trials < 1:
-        raise SpecError(f"trials must be >= 1, got {trials}", "$.trials")
-    return trials
+def _count(config: dict, key: str, default: int) -> int:
+    """config[key] (`default` when absent): an integer of at least 1."""
+    value = _field(config, key, int, default)
+    if value < 1:
+        raise SpecError(f"{key} must be >= 1, got {value}", f"$.{key}")
+    return value
 
 
 def _resolve_seed(args, config: dict, default: int | None = None) -> int:
@@ -184,12 +185,12 @@ def _resolve_seed(args, config: dict, default: int | None = None) -> int:
 
 def cmd_simulate_randomization(spec: ResolvedSpec, config: dict, out_dir: Path,
                                seed: int) -> int:
-    n = _field(config, "n", int, 1)
+    n = _count(config, "n", 1)
     z = len(spec.senders)
     block_sizes = _field(config, "block_sizes", [int])
     if len(block_sizes) != z:
         raise SpecError(f"config needs 'block_sizes' of length {z}", "$.block_sizes")
-    trials = _trials(config)
+    trials = _count(config, "trials", 1)
     family = _field(config, "family", str, "haar")
     w_labels = list(spec.eavesdropper) if spec.eavesdropper else list(spec.receiver)
     report = protocols.chained_randomization_experiment(
@@ -200,11 +201,11 @@ def cmd_simulate_randomization(spec: ResolvedSpec, config: dict, out_dir: Path,
 
 def cmd_simulate_encoding(spec: ResolvedSpec, config: dict, out_dir: Path,
                           seed: int) -> int:
-    n = _field(config, "n", int, 1)
+    n = _count(config, "n", 1)
     k_sweep = _field(config, "k_sweep", [int], [1, 2, 4])
     if len(set(k_sweep)) != len(k_sweep):
         raise SpecError(f"k_sweep sizes must be distinct, got {k_sweep}", "$.k_sweep")
-    trials = _trials(config)
+    trials = _count(config, "trials", 1)
     family = _field(config, "family", str, "haar")
     report = protocols.encoding_experiment(spec.state, spec.senders, n, k_sweep, trials,
                                            seed, family=family)
@@ -214,7 +215,7 @@ def cmd_simulate_encoding(spec: ResolvedSpec, config: dict, out_dir: Path,
 
 def cmd_simulate_code(spec: ResolvedSpec, config: dict, out_dir: Path,
                       seed: int) -> int:
-    n = _field(config, "n", int, 1)
+    n = _count(config, "n", 1)
     z = len(spec.senders)
     rates = _rates_from_config(config, z)
     family = _field(config, "family", str, "haar")
@@ -237,9 +238,12 @@ def cmd_simulate_code(spec: ResolvedSpec, config: dict, out_dir: Path,
 
 def cmd_verify_lemmas(spec: None, config: dict, out_dir: Path, seed: int) -> int:
     counterexample = _field(config, "counterexample", bool, False)
-    suites = protocols.lemma_suites(seed, _field(config, "sizes", [int], [2, 3]),
-                                    _field(config, "states_per_size", int, 10),
-                                    _field(config, "union_trials", int, 100))
+    sizes = _field(config, "sizes", [int], [2, 3])
+    if min(sizes, default=1) < 1 or len(set(sizes)) != len(sizes):
+        # a repeated size would redraw its streams and count each case twice
+        raise SpecError(f"sizes must be distinct and >= 1, got {sizes}", "$.sizes")
+    suites = protocols.lemma_suites(seed, sizes, _count(config, "states_per_size", 10),
+                                    _count(config, "union_trials", 100))
     if counterexample:
         # negative control: a table violating strong subadditivity must fail
         bad = regions.SetFunction(2, (0.0, 1.0, 1.0, 3.0))

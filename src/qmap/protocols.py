@@ -32,6 +32,7 @@ from .qstate import (
     StateValidationError,
     SystemLayout,
     apply_local,
+    check_density,
     check_psd,
     conjugate_local,
     label_groups,
@@ -140,6 +141,28 @@ def weyl_unitaries(d: int) -> list[np.ndarray]:
     return ops
 
 
+def _check_factors(u: np.ndarray, n: int, d: int, ndim: int = 4) -> None:
+    """A family's one check on its factors u (K, n, d, d), or (`ndim` 5) on a
+    stack of families: K, n >= 1, the shape, max |U^dag U - I| <= UNITARY_TOL."""
+    if n < 1 or u.size == 0:
+        raise ValueError("K and n must be >= 1")
+    if u.ndim != ndim or u.shape[-3:] != (n, d, d):
+        raise DimensionError(f"per_index has shape {u.shape}, not (K, {n}, {d}, {d})")
+    dev = np.max(np.abs(np.swapaxes(u.conj(), -1, -2) @ u - np.eye(d)))
+    require(dev, UNITARY_TOL, StateValidationError, "family member is not unitary")
+
+
+def _kron_blocks(u: np.ndarray) -> np.ndarray:
+    """The blocks (..., K, d^n, d^n) of factors u (..., K, n, d, d): [..., k] is
+    the tensor product of u[..., k, :], multiplied entry by entry as `np.kron` does."""
+    out = u[..., 0, :, :]
+    for i in range(1, u.shape[-3]):
+        v = u[..., i, :, :]
+        out = (out[..., :, None, :, None] * v[..., None, :, None, :]).reshape(
+            out.shape[:-2] + (out.shape[-2] * v.shape[-2], -1))
+    return out
+
+
 @dataclass(frozen=True)
 class UnitaryFamily:
     """Family of K tensor-product block unitaries on n copies of a d-dim system."""
@@ -153,16 +176,9 @@ class UnitaryFamily:
 
     def __post_init__(self):
         """Store `per_index`, any nested sequence of shape (K, n, d, d), as one
-        read-only complex array, after one check: K >= 1, n >= 1, the shape and
-        max |U^dag U - I| within UNITARY_TOL (a NaN fails)."""
+        read-only complex array, after `_check_factors`."""
         u = np.array(self.per_index, dtype=complex)
-        if self.n < 1 or u.size == 0:
-            raise ValueError("K and n must be >= 1")
-        if u.ndim != 4 or u.shape[1:] != (self.n, self.dim, self.dim):
-            raise DimensionError(
-                f"per_index has shape {u.shape}, not (K, {self.n}, {self.dim}, {self.dim})")
-        dev = np.max(np.abs(np.swapaxes(u.conj(), -1, -2) @ u - np.eye(self.dim)))
-        require(dev, UNITARY_TOL, StateValidationError, "family member is not unitary")
+        _check_factors(u, self.n, self.dim)
         u.flags.writeable = False
         object.__setattr__(self, "per_index", u)
 
@@ -172,14 +188,8 @@ class UnitaryFamily:
 
     @cached_property
     def blocks(self) -> np.ndarray:
-        """Every block unitary in one read-only (K, d^n, d^n) array: [k] is the
-        tensor product of per_index[k], multiplied entry by entry as `np.kron`
-        does."""
-        u = self.per_index[:, 0]
-        for i in range(1, self.n):
-            v = self.per_index[:, i]
-            u = (u[:, :, None, :, None] * v[:, None, :, None, :]).reshape(
-                self.size, len(u[0]) * self.dim, -1)
+        """Every block unitary in one read-only (K, d^n, d^n) array (`_kron_blocks`)."""
+        u = _kron_blocks(self.per_index)
         u.flags.writeable = False
         return u
 
@@ -188,16 +198,28 @@ class UnitaryFamily:
         return self.blocks[k]
 
 
+def _haar_factors(n: int, d: int, size: int, master_seed: int,
+                  prefixes: Sequence[Sequence[int]]) -> np.ndarray:
+    """Unchecked (T, K, n, d, d) Haar factors: (t, k, i) from derived_rng(master_seed,
+    *prefixes[t], k, i), all orthonormalized by one stacked QR, so each is
+    `haar_unitary` of its own stream, bit for bit. A count below 1 draws nothing."""
+    normals = np.empty((len(prefixes), max(size, 0), max(n, 0), 2, d, d))
+    for t, prefix in enumerate(prefixes):
+        for k, i in np.ndindex(normals.shape[1:3]):
+            normals[t, k, i] = derived_rng(master_seed, *prefix, k, i).standard_normal(
+                (2, d, d))
+    return _haar_from_normals(normals)
+
+
 def make_family(kind: str, z: int, n: int, d: int, size: int, master_seed: int,
                 prefix: Sequence[int]) -> UnitaryFamily:
     """Sender z's family of `size` tensor-product unitaries on n copies of a
     d-dim system: "haar", "pauli" (`pauli_family`) or "identity".
 
     For "haar", factor (k, i) is drawn from derived_rng(master_seed, *prefix,
-    k, i) and the family records seed=(master_seed, *prefix). Every caller
-    passes its own prefix, which fixes its seed path; "pauli" and "identity"
-    ignore it. The draws are orthonormalized together by `_haar_from_normals`,
-    so each factor is `haar_unitary` of its own stream, bit for bit.
+    k, i) (`_haar_factors`) and the family records seed=(master_seed,
+    *prefix). Every caller passes its own prefix, which fixes its seed path;
+    "pauli" and "identity" ignore it.
     """
     if kind == "pauli":
         return pauli_family(z, n, d, size=size)
@@ -205,12 +227,22 @@ def make_family(kind: str, z: int, n: int, d: int, size: int, master_seed: int,
         return identity_family(z, n, d, size=size)
     if kind != "haar":
         raise ValueError(f"unknown family kind {kind!r}")
-    seed = (int(master_seed), *prefix)
-    # a count below 1 draws nothing and is refused by UnitaryFamily
-    normals = np.empty((max(size, 0), max(n, 0), 2, d, d))
-    for k, i in np.ndindex(normals.shape[:2]):
-        normals[k, i] = derived_rng(*seed, k, i).standard_normal((2, d, d))
-    return UnitaryFamily(z, n, d, _haar_from_normals(normals), kind="haar", seed=seed)
+    return UnitaryFamily(z, n, d, _haar_factors(n, d, size, master_seed, [prefix])[0],
+                         kind="haar", seed=(int(master_seed), *prefix))
+
+
+def _family_stack(kind: str, n: int, d: int, size: int, master_seed: int,
+                  prefixes: Sequence[Sequence[int]]) -> np.ndarray:
+    """The per_index of make_family(kind, z, n, d, size, master_seed, p) for each
+    prefix p, as one read-only (T, K, n, d, d) array checked once; a Pauli or
+    identity family does not depend on the prefix and is made once."""
+    if kind != "haar":
+        u = make_family(kind, 0, n, d, size, master_seed, ()).per_index
+        return np.broadcast_to(u, (len(prefixes), *u.shape))
+    u = _haar_factors(n, d, size, master_seed, prefixes)
+    _check_factors(u, n, d, ndim=5)
+    u.flags.writeable = False
+    return u
 
 
 def pauli_family(z: int, n: int, d: int, size: int | None = None) -> UnitaryFamily:
@@ -277,14 +309,16 @@ def encode(rho_n: DensityMatrix, families: Sequence[UnitaryFamily],
 
 def _stacked_walk(factor: np.ndarray, layout: SystemLayout, ops: Sequence[np.ndarray],
                   groups: Sequence[Sequence[str]]) -> np.ndarray:
-    """The (N, d, r) stack of O_{Z,k_Z} ... O_{1,k_1} F for every index tuple k
-    in flat order, for a d x r matrix F on `layout` and sender z's operators
-    ops[z], a (K_z, d_z, d_z) stack acting on `groups[z]`. Level z applies
-    all K_z operators to all prefixes (k_1..k_{z-1}) in one stacked
-    `apply_local`, each product with the bits of its own call."""
+    """The (..., N, d, r) stack of O_{Z,k_Z} ... O_{1,k_1} F for every index
+    tuple k in flat order, for a d x r matrix F on `layout` and sender z's
+    operators ops[z], a (..., K_z, d_z, d_z) stack acting on `groups[z]`
+    whose leading (trial) axes broadcast. Level z applies all K_z operators
+    to all prefixes (k_1..k_{z-1}) in one stacked `apply_local`, each product
+    with the bits of its own call."""
     stack = factor[None]
     for op, on in zip(ops, groups):
-        stack = apply_local(stack[:, None], op, on, layout).reshape(-1, *factor.shape)
+        stack = apply_local(stack[..., :, None, :, :], op[..., None, :, :, :], on, layout)
+        stack = stack.reshape(stack.shape[:-4] + (-1,) + factor.shape)
     return stack
 
 
@@ -298,12 +332,23 @@ def _running_sum(terms: Iterable[np.ndarray]) -> np.ndarray:
     return acc
 
 
+def _mixture(m: np.ndarray, layout: SystemLayout, unitaries: np.ndarray,
+             on: Sequence[str]) -> np.ndarray:
+    """Unchecked uniform mixture of m (or each of a stack (T, d, d)) conjugated by
+    the K unitaries (..., K, d_on, d_on) on the `on` factors: each conjugation
+    is stacked over the trials, and they are summed in order by `_running_sum`."""
+    count = unitaries.shape[-3]
+    acc = _running_sum(conjugate_local(m, unitaries[..., k, :, :], on, layout)
+                       for k in range(count))
+    acc /= count
+    return acc
+
+
 def _mix(rho: DensityMatrix, unitaries: Sequence[np.ndarray],
          on: Sequence[str]) -> DensityMatrix:
     """Uniform mixture of rho conjugated by each unitary on the `on` factors."""
-    acc = _running_sum(conjugate_local(rho.matrix, u, on, rho.layout) for u in unitaries)
-    acc /= len(unitaries)
-    return DensityMatrix(acc, rho.layout)
+    return DensityMatrix(_mixture(rho.matrix, rho.layout, np.asarray(unitaries), on),
+                         rho.layout)
 
 
 def _randomization_target(rho: DensityMatrix, senders: Sequence[str]) -> DensityMatrix:
@@ -365,15 +410,17 @@ class Povm:
 
 
 def _psd_power(m: np.ndarray, power: float, cutoff: float | None = None) -> np.ndarray:
-    eig, vec = np.linalg.eigh((m + m.conj().T) / 2)
+    """m^power on the support (eigenvalues above zero, or above `cutoff` times
+    the largest) of the Hermitian part of m, or of each matrix of a stack."""
+    eig, vec = np.linalg.eigh((m + np.swapaxes(m.conj(), -1, -2)) / 2)
     eig = np.clip(eig, 0.0, None)
     out = np.zeros_like(eig)
     if cutoff is not None:
-        support = eig > cutoff * (eig.max() if eig.size else 1.0)
+        support = eig > cutoff * np.max(eig, axis=-1, keepdims=True, initial=0.0)
     else:
         support = eig > 0
     out[support] = eig[support] ** power
-    return (vec * out) @ vec.conj().T
+    return (vec * out[..., None, :]) @ np.swapaxes(vec.conj(), -1, -2)
 
 
 def _sqrt_factor(m: np.ndarray, cutoff: float | None = None) -> np.ndarray:
@@ -450,7 +497,7 @@ def povm_success(povm: Povm, states: Sequence[DensityMatrix | np.ndarray]) -> fl
 
 
 def pgm_success_table(factor: np.ndarray, layout: SystemLayout,
-                      families: Sequence[UnitaryFamily],
+                      families: Sequence[UnitaryFamily | np.ndarray],
                       groups: Sequence[Sequence[str]]) -> np.ndarray:
     """P[k', k] = Tr[E_k' rho_k] for the uniform-prior PGM {E_k} of the
     encoded states rho_k = U_k rho^(x)n U_k^dag, indexed by the flat index of
@@ -468,40 +515,49 @@ def pgm_success_table(factor: np.ndarray, layout: SystemLayout,
     does for rhobar, whose nonzero spectrum G shares. Raises
     StateValidationError when an entry is negative or a column sums above
     one beyond the POVM tolerances.
+
+    A family may be its `per_index` array with leading trial axes: the tables
+    (..., N, N) then carry them, and the first out of range raises.
     """
-    n = families[0].n
-    count, rank = math.prod(f.size for f in families), factor.shape[1]
-    gram = np.ones((count, 1, count, 1))
+    stacks = [getattr(f, "per_index", f) for f in families]
+    lead = np.broadcast_shapes(*(u.shape[:-4] for u in stacks))
+    n = stacks[0].shape[-3]
+    count, rank = math.prod(u.shape[-4] for u in stacks), factor.shape[1]
+    gram = np.ones(lead + (count, 1, count, 1))
     for i in range(n):
         # column (k, a) is V_ki F e_a
-        cols = _stacked_walk(factor, layout, [f.per_index[:, i] for f in families],
-                             groups).transpose(1, 0, 2).reshape(len(factor), -1)
-        copy = (cols.conj().T @ cols).reshape(count, rank, count, rank)
-        width = gram.shape[1] * rank
-        gram = np.einsum("xaYb,xcYd->xacYbd", gram, copy).reshape(
-            count, width, count, width)
-    size = gram.shape[1]
-    root = _psd_power(gram.reshape(count * size, count * size) / count, 0.5,
+        cols = _stacked_walk(factor, layout, [u[..., i, :, :] for u in stacks], groups)
+        cols = np.swapaxes(cols, -3, -2).reshape(lead + (len(factor), -1))
+        copy = (np.swapaxes(cols.conj(), -1, -2) @ cols).reshape(
+            lead + (count, rank, count, rank))
+        width = gram.shape[-3] * rank
+        gram = np.einsum("...xaYb,...xcYd->...xacYbd", gram, copy).reshape(
+            lead + (count, width, count, width))
+    size = gram.shape[-3]
+    root = _psd_power(gram.reshape(lead + (count * size, count * size)) / count, 0.5,
                       cutoff=PINV_CUTOFF)
-    table = count * np.sum(np.abs(root.reshape(count, size, count, size)) ** 2,
-                           axis=(1, 3))
-    low, high = table.min(), table.sum(axis=0).max()
+    table = count * np.sum(np.abs(root.reshape(lead + (count, size, count, size))) ** 2,
+                           axis=(-3, -1))
+    lows = table.min(axis=(-2, -1)).reshape(-1)
+    highs = table.sum(axis=-2).max(axis=-1).reshape(-1)
     message = "PGM success table out of range: min entry {}, max column sum {}"
-    require(-low, POVM_PSD_TOL, StateValidationError, message, low, high)
-    require(high, 1 + POVM_SUM_TOL, StateValidationError, message, low, high)
+    for low, high in zip(lows, highs):
+        require(-low, POVM_PSD_TOL, StateValidationError, message, low, high)
+        require(high, 1 + POVM_SUM_TOL, StateValidationError, message, low, high)
     return table
 
 
 def _message_factors(factor: np.ndarray, layout: SystemLayout, n: int,
-                     families: Sequence[UnitaryFamily], groups: Sequence[Sequence[str]],
-                     blocks: np.ndarray) -> list[np.ndarray]:
+                     families: Sequence[UnitaryFamily | np.ndarray],
+                     groups: Sequence[Sequence[str]], blocks: np.ndarray) -> list[np.ndarray]:
     """Per message m, the factors U_k F^(x)n of the L index tuples k in row m of
-    `blocks` side by side, from one `_stacked_walk` over the block unitaries:
-    F_m F_m^dag = L rho_m."""
+    `blocks` side by side, from one `_stacked_walk` over the block unitaries
+    (of each family, or of its `per_index` array): F_m F_m^dag = L rho_m."""
     factor_n = factor
     for _ in range(n - 1):
         factor_n = np.kron(factor_n, factor)
-    stack = _stacked_walk(factor_n, layout.power(n), [f.blocks for f in families],
+    ops = [f.blocks if isinstance(f, UnitaryFamily) else _kron_blocks(f) for f in families]
+    stack = _stacked_walk(factor_n, layout.power(n), ops,
                           [SystemLayout.copy_major(g, n) for g in groups])
     return [np.hstack(stack[row]) for row in blocks]
 
@@ -513,7 +569,7 @@ def _read_success(elements: Sequence[np.ndarray], factors: Sequence[np.ndarray],
 
 
 def _pgm_message_success(factor: np.ndarray, layout: SystemLayout, n: int,
-                         families: Sequence[UnitaryFamily],
+                         families: Sequence[UnitaryFamily | np.ndarray],
                          groups: Sequence[Sequence[str]], blocks: np.ndarray) -> np.ndarray:
     """Tr[E_m rho_m] for each message m, which mixes the index tuples in row m
     of `blocks`, under the uniform-prior PGM, from F F^dag = rho on `layout`
@@ -521,19 +577,25 @@ def _pgm_message_success(factor: np.ndarray, layout: SystemLayout, n: int,
     the message states (Hausladen, Jozsa, Schumacher, Westmoreland & Wootters
     1996). For N tuples of rank r^n, the Gram path (`pgm_success_table`,
     summed over the decoded block and averaged over the encoded one) runs
-    when N r^n <= d^n; otherwise `_pgm` forms one element per message."""
+    when N r^n <= d^n; otherwise `_pgm` forms one element per message.
+    Families as (T, K, n, d, d) `per_index` stacks give (T, M) successes."""
     if blocks.size * factor.shape[1] ** n <= layout.dim ** n:
         table = pgm_success_table(factor, layout, families, groups)
-        return table[blocks[:, :, None], blocks[:, None, :]].sum(axis=(1, 2)) / blocks.shape[1]
+        return (table[..., blocks[:, :, None], blocks[:, None, :]].sum(axis=(-2, -1))
+                / blocks.shape[1])
+    if np.ndim(getattr(families[0], "per_index", families[0])) > 4:  # one `_pgm` per trial
+        return np.array([_pgm_message_success(factor, layout, n, [u[t] for u in families],
+                                              groups, blocks) for t in range(len(families[0]))])
     factors = _message_factors(factor, layout, n, families, groups, blocks)
     povm = _pgm(factors, [1.0 / len(factors)] * len(factors))
     return _read_success(povm.elements, factors, blocks.shape[1])
 
 
 def _kraus_pair(root: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A gentle stage's Kraus pair (L, sqrt(L) sqrt(I - L)), from sqrt(L)."""
+    """A gentle stage's Kraus pair (L, sqrt(L) sqrt(I - L)), from sqrt(L) (or
+    the pairs of a stack)."""
     square = root @ root
-    return square, root @ _psd_power(np.eye(square.shape[0]) - square, 0.5)
+    return square, root @ _psd_power(np.eye(square.shape[-1]) - square, 0.5)
 
 
 def _outcome_pattern_sum(stages: Sequence[tuple[Sequence[str], tuple[np.ndarray, ...]]],
@@ -544,7 +606,8 @@ def _outcome_pattern_sum(stages: Sequence[tuple[Sequence[str], tuple[np.ndarray,
     O_z^b, so Z stages cost 2Z conjugations, not 2^Z products."""
     lam = np.eye(layout.dim, dtype=complex)
     for on, pair in reversed(stages):
-        lam = _running_sum(conjugate_local(lam, op.conj().T, on, layout) for op in pair)
+        lam = _running_sum(conjugate_local(lam, op.conj().swapaxes(-1, -2), on, layout)
+                           for op in pair)
     return lam
 
 
@@ -611,42 +674,62 @@ class UnionBoundResult:
         return self.lhs <= self.rhs + 1e-9
 
 
-def union_bound_check(lambdas: Sequence[np.ndarray], rho) -> UnionBoundResult:
+def union_bound_check(lambdas, rho):
     """Gentle sequential-measurement bound for operators 0 <= L_j <= I.
 
     Computes Tr[rho] - Tr[Lhat rho] with `sequential_decoder`'s kernels on
     one factor, the bound 2 sqrt(sum_j Tr[(I - L_j) rho]), and cross-validates
     against the independent ancilla-chain evaluation. Raises if they disagree
     beyond 1e-10 or the bound fails beyond 1e-9.
+
+    For stacks `lambdas` (T, J, d, d) and `rho` (T, d, d) of T trials, every
+    step is stacked and item t of the returned list is trial t's result, or
+    the AssertionError a call on it alone raises. Each L_j, then I - L_j, is
+    checked in one `check_psd` stack.
     """
     rho_mat = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
-    d = rho_mat.shape[0]
-    mats = [np.asarray(l, dtype=complex) for l in lambdas]
-    for l in mats:
-        check_psd(l, PSD_TOL, "operator")
-        check_psd(np.eye(d) - l, PSD_TOL, "I - operator")
-    pairs = [_kraus_pair(_psd_power(l, 0.5)) for l in mats]
-    lam_hat = _outcome_pattern_sum([(("S",), pair) for pair in pairs],
+    single = rho_mat.ndim == 2
+    rho_mat = rho_mat.reshape(-1, *rho_mat.shape[-2:])
+    trials, d = len(rho_mat), rho_mat.shape[-1]
+    mats = np.asarray(lambdas, dtype=complex).reshape(trials, -1, d, d)
+    complements = np.eye(d) - mats
+    check_psd(np.stack([mats, complements], axis=2), PSD_TOL,
+              ("operator", "I - operator") * mats.shape[1] * trials)
+    squares, gentles = _kraus_pair(_psd_power(mats, 0.5))
+    lam_hat = _outcome_pattern_sum([(("S",), (squares[:, j], gentles[:, j]))
+                                    for j in range(mats.shape[1])],
                                    SystemLayout((("S", d),)))
-    lam_hat_trace = float(np.real(np.einsum("ij,ji->", lam_hat, rho_mat)))
     # ancilla chain: Pi_j = L_j (x) |0> + sqrt(L_j) sqrt(I - L_j) (x) |1>
     sigma = rho_mat
-    for l, gentle in pairs:
+    for j in range(mats.shape[1]):
         # Pi maps H -> H (x) M_j with the fresh qubit least significant
-        pi = np.zeros((2 * d, d), dtype=complex)
-        pi[0::2, :] = l
-        pi[1::2, :] = gentle
-        big = np.kron(pi, np.eye(sigma.shape[0] // d))
-        sigma = big @ sigma @ big.conj().T
-    chain_trace = float(np.real(np.trace(sigma)))
-    require(abs(chain_trace - lam_hat_trace), 1e-10, AssertionError,
-            "chain evaluation {} != closed form {}", chain_trace, lam_hat_trace)
-    tr_rho = float(np.real(np.trace(rho_mat)))
-    lhs = tr_rho - lam_hat_trace
-    rhs = 2 * math.sqrt(max(0.0, sum(
-        float(np.real(np.einsum("ij,ji->", np.eye(d) - l, rho_mat))) for l in mats)))
-    require(lhs, rhs + 1e-9, AssertionError, "union bound violated: lhs {} > rhs {}", lhs, rhs)
-    return UnionBoundResult(lhs, rhs, lam_hat_trace, chain_trace)
+        pi = np.zeros((trials, 2 * d, d), dtype=complex)
+        pi[:, 0::2, :] = squares[:, j]
+        pi[:, 1::2, :] = gentles[:, j]
+        copies = sigma.shape[-1] // d
+        # np.kron(pi, I) of each trial, entry by entry as np.kron forms it
+        big = (pi[:, :, None, :, None] * np.eye(copies)[:, None, :]).reshape(
+            trials, 2 * d * copies, d * copies)
+        sigma = big @ sigma @ np.swapaxes(big.conj(), -1, -2)
+    results = []
+    # the traces are read per trial: einsum's sums depend on its operands' strides
+    for lam, r, comps, s in zip(lam_hat, rho_mat, complements, sigma):
+        lam_hat_trace = float(np.einsum("ij,ji->", lam, r).real)
+        chain_trace = float(np.trace(s).real)
+        lhs = float(np.trace(r).real) - lam_hat_trace
+        rhs = 2 * math.sqrt(max(0.0, sum(float(np.einsum("ij,ji->", c, r).real)
+                                         for c in comps)))
+        try:
+            require(abs(chain_trace - lam_hat_trace), 1e-10, AssertionError,
+                    "chain evaluation {} != closed form {}", chain_trace, lam_hat_trace)
+            require(lhs, rhs + 1e-9, AssertionError, "union bound violated: lhs {} > rhs {}",
+                    lhs, rhs)
+            results.append(UnionBoundResult(lhs, rhs, lam_hat_trace, chain_trace))
+        except AssertionError as exc:
+            results.append(exc)
+    if single and isinstance(results[0], AssertionError):
+        raise results[0]
+    return results[0] if single else results
 
 
 @dataclass(frozen=True)
@@ -808,18 +891,22 @@ def _message_states(code: CodeSpec, rho_n: DensityMatrix):
                         product(*[range(m) for m in code.message_counts]), _mix)
 
 
-# the differences one stacked trace-norm call takes, in bytes (at least one
-# matrix): stacking pays where the matrices are small, and each call holds a
-# few times this in temporaries
-STACK_BYTES = 1 << 16
+# the bytes of the largest array a chunk of stacked items holds (at least one
+# item): a 256-dim state is a chunk of one, and a stacked step holds a few such
+TRIAL_BYTES = 1 << 20
+
+
+def _trial_chunks(trials: int, trial_bytes: int) -> list[range]:
+    """range(trials) in consecutive chunks of TRIAL_BYTES // trial_bytes (at
+    least one), for items whose largest stacked matrix has `trial_bytes`."""
+    step = max(1, TRIAL_BYTES // max(1, trial_bytes))
+    return [range(i, min(i + step, trials)) for i in range(0, trials, step)]
 
 
 def _trace_norms(stack: np.ndarray, ref: np.ndarray) -> tuple[float, ...]:
-    """trace_norm(x - ref) for each matrix x of a stack, from stacked calls on
-    at most STACK_BYTES of differences each."""
-    step = max(1, STACK_BYTES // ref.nbytes)
-    return tuple(float(v) for i in range(0, len(stack), step)
-                 for v in trace_norm(stack[i:i + step] - ref))
+    """trace_norm(x - ref) for each matrix x of a stack, one call per chunk."""
+    return tuple(float(v) for c in _trial_chunks(len(stack), ref.nbytes)
+                 for v in trace_norm(stack[c.start:c.stop] - ref))
 
 
 def evaluate_code(code: CodeSpec, rho: DensityMatrix) -> SimulationReport:
@@ -930,7 +1017,8 @@ def chained_randomization_experiment(rho: DensityMatrix, senders: Sequence,
     marginal of senders z..Z and W, and the total mixes senders 2..Z onto
     stage 1's state, so the budget bounds (senders + W)^(x)n, not rho^(x)n.
     Before any marginal or family is built, the largest block size is bounded
-    by 2^budget_qubits(), as a code's index space is."""
+    by 2^budget_qubits(), as a code's index space is. The trials run as
+    stacks (Haar prefix (t, z)) in `_trial_chunks`."""
     _check_trials(trials)
     groups = label_groups(senders)
     z_count = len(groups)
@@ -951,20 +1039,31 @@ def chained_randomization_experiment(rho: DensityMatrix, senders: Sequence,
 
     samples: dict[str, list[float]] = {
         "total_distance": [], **{f"stage_{z}_distance": [] for z in range(1, z_count + 1)}}
-    for t in range(trials):
-        families = [make_family(family, z, n, rho.layout.dim_of(g), l, master_seed, (t, z))
-                    for z, (g, l) in enumerate(zip(groups, block_sizes), start=1)]
-        stage_total = 0.0
-        for z, (fam, (group, marg_n, target)) in enumerate(zip(families, stages), start=1):
-            randomized = _mix(marg_n, fam.blocks, group)
-            dist = trace_norm(randomized.matrix - target.matrix)
-            samples[f"stage_{z}_distance"].append(dist)
-            stage_total += dist
-            chain = randomized if z == 1 else _mix(chain, fam.blocks, group)
-        total = trace_norm(chain.matrix - total_target.matrix)
-        require(total, stage_total + 1e-9, AssertionError,
-                "triangle chain violated: total {} > stage sum {}", total, stage_total)
-        samples["total_distance"].append(total)
+    chain_layout = stages[0][1].layout
+    # a trial's largest arrays: stage 1's state and a sender's block unitaries
+    trial_bytes = max([stages[0][1].matrix.nbytes] + [
+        16 * l * rho.layout.dim_of(g) ** (2 * n) for g, l in zip(groups, block_sizes)])
+    for chunk in _trial_chunks(trials, trial_bytes):
+        blocks = [_kron_blocks(_family_stack(family, n, rho.layout.dim_of(g), l, master_seed,
+                                             [(t, z) for t in chunk]))
+                  for z, (g, l) in enumerate(zip(groups, block_sizes), start=1)]
+        stage_total = np.zeros(len(chunk))
+        for z, (u, (group, marg_n, target)) in enumerate(zip(blocks, stages), start=1):
+            randomized = _mixture(marg_n.matrix, marg_n.layout, u, group)
+            check_density(randomized)
+            dists = _trace_norms(randomized, target.matrix)
+            samples[f"stage_{z}_distance"] += dists
+            stage_total += dists
+            if z == 1:
+                chain = randomized
+            else:
+                chain = _mixture(chain, chain_layout, u, group)
+                check_density(chain)
+        totals = _trace_norms(chain, total_target.matrix)
+        for total, bound in zip(totals, stage_total.tolist()):
+            require(total, bound + 1e-9, AssertionError,
+                    "triangle chain violated: total {} > stage sum {}", total, bound)
+        samples["total_distance"] += totals
     samples_t = {k: tuple(v) for k, v in samples.items()}
     return SimulationReport(trials, _mean_estimates(samples_t), samples_t,
                             master_seed, {"family_kind": family,
@@ -980,7 +1079,8 @@ def encoding_experiment(rho: DensityMatrix, senders: Sequence, n: int,
     average PGM success on the K^Z encoded index states as `success_K<K>`,
     scored by `_pgm_message_success` with one tuple per message. Before any
     family is drawn, the largest K^Z is bounded by 2^budget_qubits(), as a
-    code's index space is, and d^n by the dimension budget."""
+    code's index space is, and d^n by the dimension budget. Per size, the
+    trials run as stacks in `_trial_chunks`."""
     _check_trials(trials)
     if len(set(k_sweep)) != len(k_sweep):
         # a repeated size would redraw its seed prefixes and count each trial twice
@@ -992,13 +1092,17 @@ def encoding_experiment(rho: DensityMatrix, senders: Sequence, n: int,
     factor = _sqrt_factor(rho.matrix, cutoff=RANK_CUTOFF)
     samples: dict[str, list[float]] = {f"success_K{k}": [] for k in k_sweep}
     for k in k_sweep:
-        blocks = np.arange(k ** len(groups))[:, None]  # one index tuple per message
-        for t in range(trials):
-            families = [make_family(family, z, n, rho.layout.dim_of(g), k, master_seed,
-                                    (k, t, z))
-                        for z, g in enumerate(groups, start=1)]
-            samples[f"success_K{k}"].append(float(np.mean(_pgm_message_success(
-                factor, rho.layout, n, families, groups, blocks))))
+        count, rank = k ** len(groups), factor.shape[1]
+        blocks = np.arange(count)[:, None]  # one index tuple per message
+        # a trial's largest arrays: its Gram matrix, a copy's walk and a family
+        trial_bytes = 16 * max((count * rank ** n) ** 2, count * rho.dim * rank,
+                               k * n * max(rho.layout.dim_of(g) for g in groups) ** 2)
+        for chunk in _trial_chunks(trials, trial_bytes):
+            stacks = [_family_stack(family, n, rho.layout.dim_of(g), k, master_seed,
+                                    [(k, t, z) for t in chunk])
+                      for z, g in enumerate(groups, start=1)]
+            success = _pgm_message_success(factor, rho.layout, n, stacks, groups, blocks)
+            samples[f"success_K{k}"] += [float(np.mean(row)) for row in success]
     samples_t = {name: tuple(vals) for name, vals in samples.items()}
     return SimulationReport(trials, _mean_estimates(samples_t), samples_t, master_seed,
                             {"k_sweep": list(k_sweep), "n": n, "family_kind": family})
@@ -1007,14 +1111,17 @@ def encoding_experiment(rho: DensityMatrix, senders: Sequence, n: int,
 def _lemma_tables(seed: int, suite: int, sizes: Sequence[int], per_size: int,
                   b: tuple[str, ...], e: tuple[str, ...]):
     """(z, trial, chat, dhat) for z in `sizes`, trial < `per_size`: a random full-rank
-    qubit state on A1..Az, b and e from the stream (seed, suite, z, trial)."""
+    qubit state on A1..Az, b and e from the stream (seed, suite, z, trial), one
+    `region_tables` call per `_trial_chunks` of a size's states."""
     for z in sizes:
-        for trial in range(per_size):
-            senders = [f"A{i}" for i in range(1, z + 1)]
-            layout = SystemLayout(tuple((lab, 2) for lab in (*senders, *b, *e)))
-            rho = random_density(layout, layout.dim, derived_rng(seed, suite, z, trial))
-            chat, dhat, _ = regions.region_tables(rho, senders, b, e)
-            yield z, trial, chat, dhat
+        senders = [f"A{i}" for i in range(1, z + 1)]
+        layout = SystemLayout(tuple((lab, 2) for lab in (*senders, *b, *e)))
+        for chunk in _trial_chunks(per_size, 16 * layout.dim ** 2):
+            states = [random_density(layout, layout.dim, derived_rng(seed, suite, z, trial))
+                      for trial in chunk]
+            for trial, (chat, dhat, _) in zip(chunk, regions.region_tables(states, senders,
+                                                                            b, e)):
+                yield z, trial, chat, dhat
 
 
 def _tally(cases: int, failures: list[dict]) -> dict:
@@ -1076,20 +1183,30 @@ def _lemma_separation_suite(seed: int, sizes: Sequence[int], trials: int) -> dic
 
 
 def _lemma_union_bound_suite(seed: int, trials: int) -> dict:
-    dim = 8
+    """Three operators 0 <= L = G G^dag / (max eig (1 + u)) <= I and a state per
+    trial from the stream (seed, 4, trial), in stacked `_trial_chunks` (by the
+    2^3 d-dim state of the ancilla chain)."""
+    dim, count = 8, 3
+    layout = SystemLayout((("S", dim),))
     failures = []
-    for trial in range(trials):
-        rng = derived_rng(seed, 4, trial)
-        lams = []
-        for _ in range(3):
-            g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-            h = g @ g.conj().T
-            lams.append(h / (np.linalg.eigvalsh(h).max() * (1 + rng.uniform(0, 1))))
-        rho = random_density(SystemLayout((("S", dim),)), dim, rng)
-        try:
-            union_bound_check(lams, rho)
-        except AssertionError as exc:
-            failures.append({"trial": trial, "error": str(exc)})
+    for chunk in _trial_chunks(trials, 16 * (2 ** count * dim) ** 2):
+        # each stream draws, in order: per operator the real and imaginary
+        # parts of G and a scale 1 + u, then the state
+        normals = np.empty((len(chunk), count, 2, dim, dim))
+        scales = np.empty((len(chunk), count))
+        rhos = np.empty((len(chunk), dim, dim), dtype=complex)
+        for row, trial in enumerate(chunk):
+            rng = derived_rng(seed, 4, trial)
+            for j in range(count):
+                normals[row, j] = rng.standard_normal((2, dim, dim))
+                scales[row, j] = 1 + rng.uniform(0, 1)
+            rhos[row] = random_density(layout, dim, rng).matrix
+        g = normals[:, :, 0] + 1j * normals[:, :, 1]
+        h = g @ g.conj().swapaxes(-1, -2)
+        lams = h / (np.linalg.eigvalsh(h).max(axis=-1) * scales)[..., None, None]
+        for trial, result in zip(chunk, union_bound_check(lams, rhos)):
+            if isinstance(result, AssertionError):
+                failures.append({"trial": trial, "error": str(result)})
     return _tally(trials, failures)
 
 

@@ -13,12 +13,13 @@ Entropies are in bits throughout.
 Validation contract: a `DensityMatrix` is built, and so validated, only where
 a state enters qmap (spec parsing, public constructors) or a function returns
 one; arithmetic inside a function stays on matrices (`conjugate_local`,
-`apply_local`). Every raising tolerance check in qmap goes through
+`apply_local`), and a stack of states it computes is checked as each
+`DensityMatrix` is by one `check_density` call. Every raising tolerance check in qmap goes through
 `require(deviation, tol, error, message, *args)`, which raises unless
 deviation <= tol, so a NaN deviation fails every check. `check_psd` is the one
 "Hermitian within HERMITIAN_TOL, PSD within `tol`" check, used by every
 `DensityMatrix`, every POVM element and every `union_bound_check` operator in
-`qmap.protocols`. Its PSD decision against `tol` is made by `psd_violation`.
+`qmap.protocols`, on one matrix or a stack. Its PSD decision against `tol` is made by `psd_violation`.
 It first tries a Cholesky factorization of h + (tol/2) I. A factorization that
 runs to completion is exact for a perturbed matrix h + (tol/2) I + E with
 ||E||_2 <= (d+1) eps tr(h + (tol/2) I) (the componentwise backward-error
@@ -212,31 +213,35 @@ def _as_square_complex(matrix, stack: bool = False) -> np.ndarray:
     return m
 
 
-def psd_violation(h: np.ndarray, tol: float) -> float | None:
+def psd_violation(h: np.ndarray, tol: float) -> float | np.ndarray | None:
     """None if the Hermitian matrix `h` is PSD within `tol`, else its minimum
-    eigenvalue (which is below -tol).
+    eigenvalue (which is below -tol); for a stack (..., d, d), each matrix's
+    value in an array, with NaN for None.
 
     A Cholesky factorization of h + (tol/2) I certifies min eig(h) > -tol
     when its backward-error bound fits in the other tol/2 (see the module
-    docstring); otherwise the minimum eigenvalue is computed with `eigvalsh`.
-    The shift is made on `h`'s own diagonal and undone exactly before it
-    returns, so `h` must be writable and not shared.
+    docstring); otherwise, or when a stack's one factorization fails, the
+    minimum eigenvalues are computed with `eigvalsh`. The shift is made on
+    `h`'s own diagonal and undone exactly before it returns, so `h` must be
+    writable and not shared.
     """
-    d = h.shape[0]
-    diag = h.diagonal().copy()
-    shifted = diag + tol / 2
-    error_bound = 2 * (d + 1) * np.finfo(float).eps * np.sum(np.abs(shifted))
-    if error_bound < tol / 2:
-        h.flat[::d + 1] = shifted
+    d = h.shape[-1]
+    diag = np.einsum("...ii->...i", h)
+    saved = diag.copy()
+    shifted = saved + tol / 2
+    if (2 * (d + 1) * np.finfo(float).eps * np.abs(shifted).sum(axis=-1) < tol / 2).all():
+        diag[...] = shifted
         try:
             np.linalg.cholesky(h)
-            return None
+            return None if h.ndim == 2 else np.full(h.shape[:-2], np.nan)
         except np.linalg.LinAlgError:
             pass
         finally:
-            h.flat[::d + 1] = diag
-    min_eig = float(np.min(np.linalg.eigvalsh(h)))
-    return min_eig if min_eig < -tol else None
+            diag[...] = saved
+    min_eig = np.min(np.linalg.eigvalsh(h), axis=-1)
+    if h.ndim == 2:
+        return float(min_eig) if min_eig < -tol else None
+    return np.where(min_eig < -tol, min_eig, np.nan)
 
 
 def require(deviation, tol: float, error, message: str, *args) -> None:
@@ -246,35 +251,62 @@ def require(deviation, tol: float, error, message: str, *args) -> None:
         raise error(message.format(*args))
 
 
-def _check_hermitian(m: np.ndarray, what: str) -> np.ndarray:
+def _first_failing(devs: np.ndarray, tol: float) -> int:
+    """Index of the first of a flat array's deviations not within `tol` (a NaN
+    is not), or -1."""
+    within = devs <= tol
+    return -1 if within.all() else int(np.flatnonzero(~within)[0])
+
+
+def _check_hermitian(m: np.ndarray, what: str | Sequence[str]) -> np.ndarray:
     """Raise StateValidationError unless max |m - m^dag| <= HERMITIAN_TOL, so a
-    NaN or infinite entry fails (on every item of a stack (..., d, d)); `what`
-    names `m` in the message. Returns the array the deviation was computed
-    in, for the caller to reuse."""
-    scratch = np.conjugate(np.swapaxes(m, -1, -2), dtype=np.result_type(m, 0.5))
+    NaN or infinite entry fails; `what` names `m` in the message. On a stack
+    (..., d, d) the first failing matrix raises, and `what` may name each
+    matrix in C order. Returns the array the deviation was computed in, for
+    the caller to reuse."""
+    scratch = np.conjugate(m.swapaxes(-1, -2), dtype=np.result_type(m, 0.5))
     # a NaN or infinite entry makes the deviation NaN or inf (inf - inf)
     with np.errstate(invalid="ignore"):
         scratch -= m
-        dev = np.max(np.abs(scratch))
-    require(dev, HERMITIAN_TOL, StateValidationError,
-            "{} is not Hermitian within tolerance" if math.isfinite(dev)
-            else "{} has non-finite entries", what)
+        devs = np.abs(scratch).max(axis=(-2, -1)).reshape(-1)
+    i = _first_failing(devs, HERMITIAN_TOL)
+    if i >= 0:
+        require(devs[i], HERMITIAN_TOL, StateValidationError,
+                "{} is not Hermitian within tolerance" if math.isfinite(devs[i])
+                else "{} has non-finite entries", what if isinstance(what, str) else what[i])
     return scratch
 
 
-def check_psd(m: np.ndarray, tol: float, what: str) -> None:
+def check_psd(m: np.ndarray, tol: float, what: str | Sequence[str]) -> None:
     """Raise StateValidationError unless the square matrix `m` is Hermitian
     within HERMITIAN_TOL and PSD within `tol` (`psd_violation` on its Hermitian
-    part); `what` names it in the message."""
+    part); `what` names it in the message. A stack (..., d, d) is checked as
+    `_check_hermitian` checks it, then the first matrix that is not PSD raises."""
     h = _check_hermitian(m, what)
     # the Hermitian part (m + m^dag) / 2, built in place in the scratch array
-    np.conjugate(m.T, out=h)
+    np.conjugate(m.swapaxes(-1, -2), out=h)
     h += m
     h /= 2
-    min_eig = psd_violation(h, tol)
+    if m.ndim == 2:
+        i, min_eig = 0, psd_violation(h, tol)
+    else:
+        violations = psd_violation(h.reshape(-1, *h.shape[-2:]), tol)
+        bad = np.flatnonzero(~np.isnan(violations))
+        i, min_eig = (bad[0], float(violations[bad[0]])) if bad.size else (0, None)
     if min_eig is not None:
-        raise StateValidationError(
-            f"{what} is not PSD within tolerance: min eigenvalue {min_eig}")
+        raise StateValidationError(f"{what if isinstance(what, str) else what[i]} is not "
+                                   f"PSD within tolerance: min eigenvalue {min_eig}")
+
+
+def check_density(m: np.ndarray) -> None:
+    """The `DensityMatrix` check of `m`, or of each matrix of a stack: `check_psd`
+    within PSD_TOL, then unit trace within TRACE_TOL (the first failing raises)."""
+    check_psd(m, PSD_TOL, "matrix")
+    traces = m.trace(axis1=-2, axis2=-1).real.reshape(-1)
+    # the first trace out of tolerance, else one within it
+    tr = float(traces[max(0, _first_failing(np.abs(traces - 1), TRACE_TOL))])
+    require(abs(tr - 1), TRACE_TOL, StateValidationError,
+            "trace {} is not 1 within tolerance", tr)
 
 
 @dataclass(frozen=True)
@@ -293,10 +325,7 @@ class DensityMatrix:
         if m.shape[0] != self.layout.dim:
             raise DimensionError(
                 f"matrix dim {m.shape[0]} != layout dim {self.layout.dim}")
-        check_psd(m, PSD_TOL, "matrix")
-        tr = float(np.real(np.trace(m)))
-        require(abs(tr - 1), TRACE_TOL, StateValidationError,
-                "trace {} is not 1 within tolerance", tr)
+        check_density(m)
         m = m.copy()
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
@@ -387,29 +416,36 @@ def _contract_local(m: np.ndarray, op, on: str | Sequence[str], layout: SystemLa
     The `on` factors are moved to the front of the rows (and of the columns
     when conjugating), O multiplies the grouped rows and conj(O) the grouped
     columns, and the factors are moved back. No layout-sized operator is built.
-    Without `conjugate`, m and O may be stacks (..., d, cols) and
-    (..., d_on, d_on) whose leading axes broadcast as in `np.matmul`; each item
-    is the same `op @ t` product a single call makes.
+    m and O may be stacks (..., d, cols) and (..., d_on, d_on) whose leading
+    axes broadcast as in `np.matmul`; each item is the same product a single
+    call makes.
     """
-    op = _as_square_complex(op, stack=not conjugate)
+    op = _as_square_complex(op, stack=True)
     plan = layout._plan(on)
     if op.shape[-1] != plan.d_on:
         raise DimensionError(f"operator dim {op.shape[-1]} != selected dim {plan.d_on}")
-    dims, d = layout.dims, layout.dim
+    dims, d, cols = layout.dims, layout.dim, m.shape[-1]
+    batch = m.shape[:-2]
     if conjugate:
-        t = m.reshape(dims + dims).transpose(plan.both)
-        t = (op @ t.reshape(plan.d_on, -1)).reshape(d, plan.d_on, plan.d_rest)
-        t = np.matmul(op.conj(), t).reshape(plan.moved * 2)
-        return t.transpose(plan.both_back).reshape(d, d)
-    batch, cols = m.shape[:-2], m.shape[-1]
-    lead = tuple(range(len(batch)))
-    t = m.reshape(batch + dims + (cols,)).transpose(lead + tuple(len(lead) + a
-                                                                 for a in plan.rows))
-    t = op @ t.reshape(batch + (plan.d_on, -1))
-    batch, lead = t.shape[:-2], tuple(range(t.ndim - 2))
-    t = t.reshape(batch + plan.moved + (cols,))
-    back = lead + tuple(len(lead) + a for a in plan.rows_back)
-    return t.transpose(back).reshape(batch + (d, cols))
+        t = m.reshape(batch + dims + dims).transpose(_after(len(batch), plan.both))
+        t = op @ t.reshape(batch + (plan.d_on, -1))
+        batch = t.shape[:-2]
+        # conj(O) on the column factors of each row of each item
+        right = op.conj() if op.ndim == 2 else op.conj()[..., None, :, :]
+        t = np.matmul(right, t.reshape(batch + (d, plan.d_on, plan.d_rest)))
+        moved, back = plan.moved * 2, plan.both_back
+    else:
+        t = m.reshape(batch + dims + (cols,)).transpose(_after(len(batch), plan.rows))
+        t = op @ t.reshape(batch + (plan.d_on, -1))
+        batch = t.shape[:-2]
+        moved, back = plan.moved + (cols,), plan.rows_back
+    t = t.reshape(batch + moved).transpose(_after(len(batch), back))
+    return t.reshape(batch + (d, cols))
+
+
+def _after(lead: int, perm: tuple[int, ...]) -> tuple[int, ...]:
+    """An axis permutation of the trailing axes, behind `lead` leading axes kept in place."""
+    return perm if not lead else tuple(range(lead)) + tuple(lead + a for a in perm)
 
 
 def apply_local(m, op, on: Sequence[str], layout: SystemLayout) -> np.ndarray:
@@ -424,10 +460,11 @@ def apply_local(m, op, on: Sequence[str], layout: SystemLayout) -> np.ndarray:
 
 
 def conjugate_local(m, op, on: Sequence[str], layout: SystemLayout) -> np.ndarray:
-    """(O x I) m (O x I)^dag for an operator O on the `on` factors."""
-    m = _as_square_complex(m)
-    if m.shape[0] != layout.dim:
-        raise DimensionError(f"matrix dim {m.shape[0]} != layout dim {layout.dim}")
+    """(O x I) m (O x I)^dag for an operator O on the `on` factors. m may be a
+    stack (..., d, d) and O a stack (..., d_on, d_on), as in `apply_local`."""
+    m = _as_square_complex(m, stack=True)
+    if m.shape[-1] != layout.dim:
+        raise DimensionError(f"matrix dim {m.shape[-1]} != layout dim {layout.dim}")
     return _contract_local(m, op, on, layout, conjugate=True)
 
 
@@ -505,25 +542,35 @@ def _stack_entropies(stack: np.ndarray, names: list[tuple[str, ...]]) -> list[fl
     return [_spectrum_entropy(eig) for eig in spectra]
 
 
-def marginal_entropies(rho: DensityMatrix, label_sets: Iterable[Iterable[str]]
-                       ) -> dict[frozenset, float]:
+def marginal_entropies(rho: DensityMatrix | Sequence[DensityMatrix],
+                       label_sets: Iterable[Iterable[str]]) -> dict[frozenset, float]:
     """S(rho restricted to each label set) in bits, keyed by the label set as
-    a frozenset; the empty set has entropy 0.
+    a frozenset; the empty set has entropy 0. `rho` may be a sequence of
+    states on one layout: each value is then the tuple of their entropies,
+    in order (one column per state).
 
     One depth-first walk of a subset-enumeration tree computes every
-    marginal as its parent with one more factor traced out. Factors leave
-    from the last to the first, as in `partial_trace`, so each marginal has
-    `partial_trace`'s bits. Only the chain of ancestors of the current node
-    is alive, plus the marginals waiting to be stacked: those of one
-    dimension are stacked, checked and diagonalized (`_stack_entropies`)
-    once they hold as many bytes as rho's matrix, or once every marginal of
-    that dimension has been traced.
+    marginal (of every state at once) as its parent with one more factor
+    traced out. Factors leave from the last to the first, as in
+    `partial_trace`, so each marginal has `partial_trace`'s bits. Only the
+    chain of ancestors of the current node is alive, plus the marginals
+    waiting to be stacked: those of one dimension are stacked, checked and
+    diagonalized (`_stack_entropies`) once they hold as many bytes as the
+    states' matrices, or once every marginal of that dimension has been
+    traced.
     """
-    layout = rho.layout
+    if isinstance(rho, DensityMatrix):
+        layout, matrices = rho.layout, rho.matrix[None]
+    else:
+        layout = rho[0].layout
+        if any(s.layout != layout for s in rho):
+            raise DimensionError("states must share one layout")
+        matrices = np.stack([s.matrix for s in rho])
+    count = len(matrices)
     keys = {frozenset(_label_tuple(s)) for s in label_sets}
     for key in keys:
         layout._check_known(key)
-    out = {frozenset(): 0.0} if frozenset() in keys else {}
+    out = {frozenset(): [0.0] * count} if frozenset() in keys else {}
     keys.discard(frozenset())
     # a node is [wanted, {index of the next factor traced out: child node}]
     root = [False, {}]
@@ -538,31 +585,35 @@ def marginal_entropies(rho: DensityMatrix, label_sets: Iterable[Iterable[str]]
     waiting: dict[int, tuple[list[np.ndarray], list[tuple[str, ...]]]] = {}
 
     def add(m: np.ndarray, labels: tuple[str, ...]) -> None:
-        d = m.shape[0]
+        d = m.shape[-1]
         ms, names = waiting.setdefault(d, ([], []))
         ms.append(m)
         names.append(labels)
         pending[d] -= 1
-        if len(ms) * m.nbytes >= rho.matrix.nbytes or not pending[d]:
+        if len(ms) * m.nbytes >= matrices.nbytes or not pending[d]:
             del waiting[d]
-            stack = np.stack(ms)
+            stack = np.stack(ms).reshape(-1, d, d)
             ms.clear()
-            out.update(zip(map(frozenset, names), _stack_entropies(stack, names)))
+            values = _stack_entropies(stack, [lab for lab in names for _ in range(count)])
+            for i, lab in enumerate(names):
+                out[frozenset(lab)] = values[i * count:(i + 1) * count]
 
     def visit(node, t: np.ndarray, kept: list[int]) -> None:
         wanted, children = node
         if wanted:
             d = math.prod(layout.dims[i] for i in kept)
-            add(t.reshape(d, d), tuple(layout.labels[i] for i in kept))
+            add(t.reshape(count, d, d), tuple(layout.labels[i] for i in kept))
         for i, child in sorted(children.items()):
-            pos = kept.index(i)
+            pos = kept.index(i) + 1
             # inf - inf in a non-finite state is left for the Hermitian check
             with np.errstate(invalid="ignore"):
                 traced = np.trace(t, axis1=pos, axis2=pos + len(kept))
-            visit(child, traced, kept[:pos] + kept[pos + 1:])
+            visit(child, traced, kept[:pos - 1] + kept[pos:])
 
-    visit(root, rho.matrix.reshape(layout.dims * 2), list(range(len(layout.dims))))
-    return out
+    visit(root, matrices.reshape((count,) + layout.dims * 2), list(range(len(layout.dims))))
+    if isinstance(rho, DensityMatrix):
+        return {key: values[0] for key, values in out.items()}
+    return {key: tuple(values) for key, values in out.items()}
 
 
 def conditional_entropy(s: DensityMatrix, a: Iterable[str], b: Iterable[str]) -> float:

@@ -133,10 +133,12 @@ def _check_roles(rho: DensityMatrix, groups: list[tuple[str, ...]], *extra) -> N
         seen |= g
 
 
-def _entropy_table(rho: DensityMatrix, groups: list[tuple[str, ...]],
-                   *extras: tuple[str, ...]) -> dict[frozenset, float]:
+def _entropy_table(rho: DensityMatrix | Sequence[DensityMatrix],
+                   groups: list[tuple[str, ...]], *extras: tuple[str, ...]
+                   ) -> dict[frozenset, float]:
     """S(A_Gamma X) in bits for every sender subset Gamma and each label tuple
-    X in `extras`, from one `marginal_entropies` call, keyed by label set.
+    X in `extras`, from one `marginal_entropies` call, keyed by label set (for
+    a sequence of states, each value is their column of entropies).
     S(empty set) = 0 is added without a call. The table lives for one call of
     a public table builder.
     """
@@ -144,7 +146,7 @@ def _entropy_table(rho: DensityMatrix, groups: list[tuple[str, ...]],
             for x in extras for mask in range(1 << len(groups))}
     sets.discard(frozenset())
     table = marginal_entropies(rho, sets)
-    table[frozenset()] = 0.0
+    table[frozenset()] = 0.0 if isinstance(rho, DensityMatrix) else (0.0,) * len(rho)
     return table
 
 
@@ -204,24 +206,40 @@ def dcheck_from_dhat(dhat: SetFunction, log_dims: Sequence[float]) -> SetFunctio
     return SetFunction(dhat.z_count, tuple(values))
 
 
-def region_tables(rho: DensityMatrix, senders: Sequence, b: Iterable[str],
-                  e: Iterable[str]) -> tuple[SetFunction, SetFunction, RateRegion]:
+_Tables = tuple[SetFunction, SetFunction, RateRegion]
+
+
+def region_tables(rho: DensityMatrix | Sequence[DensityMatrix], senders: Sequence,
+                  b: Iterable[str], e: Iterable[str]) -> _Tables | list[_Tables]:
     """chat (V = B E), dhat (W = E) and the main region, from one entropy table.
 
     The region holds sum_Gamma R_z <= I(A_Gamma : A_Gamma_c B | E) per nonempty
     Gamma. Each bound is cross-checked against chat - dhat within
     ENTROPIC_TOL; a mismatch raises InvariantError. With a nonempty B and E
-    the three cost 2^(Z+1) marginal entropies.
+    the three cost 2^(Z+1) marginal entropies. `rho` may be a sequence of
+    states on one layout: the result is then the list of each state's three,
+    each from its own column of one table.
     """
+    first = rho if isinstance(rho, DensityMatrix) else rho[0]
     groups = label_groups(senders)
     b, e = tuple(b), tuple(e)
-    _check_roles(rho, groups, b, e)
+    _check_roles(first, groups, b, e)
     covered = {lab for g in groups for lab in g} | set(b) | set(e)
-    if covered != set(rho.layout.labels):
-        raise LabelError(
-            f"roles must cover the layout; missing {sorted(set(rho.layout.labels) - covered)}")
+    missing = set(first.layout.labels) - covered
+    if missing:
+        raise LabelError(f"roles must cover the layout; missing {sorted(missing)}")
     s = _entropy_table(rho, groups, b + e, e)
-    log_dims = _sender_log_dims(rho, groups)
+    log_dims = _sender_log_dims(first, groups)
+    if isinstance(rho, DensityMatrix):
+        return _tables_from_entropies(s, groups, log_dims, b, e)
+    return [_tables_from_entropies({key: column[i] for key, column in s.items()},
+                                   groups, log_dims, b, e) for i in range(len(rho))]
+
+
+def _tables_from_entropies(s: dict[frozenset, float], groups: list[tuple[str, ...]],
+                           log_dims: list[float], b: tuple[str, ...], e: tuple[str, ...]
+                           ) -> _Tables:
+    """`region_tables` of one state from its entropy table `s`."""
     chat = _chat(s, groups, log_dims, b + e)
     dhat = _dhat(s, groups, log_dims, e)
     z = len(groups)

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from qmap import cli, protocols, regions
 from qmap.presets import SpecError, _parse_matrix
 from qmap.qstate import (
+    DensityMatrix,
     LabelError,
     StateValidationError,
     SystemLayout,
@@ -194,13 +195,14 @@ def _qubit_state(z, with_e=True, seed=0):
 
 @pytest.fixture
 def entropy_calls(monkeypatch):
-    """Label sets of every marginal whose entropy the table computes."""
+    """Label sets of every marginal whose entropy the table computes, once per
+    state a call takes."""
     calls = []
     inner = regions.marginal_entropies
 
     def counted(rho, label_sets):
         label_sets = [frozenset(s) for s in label_sets]
-        calls.extend(label_sets)
+        calls.extend(label_sets * (1 if isinstance(rho, DensityMatrix) else len(rho)))
         return inner(rho, label_sets)
 
     monkeypatch.setattr(regions, "marginal_entropies", counted)

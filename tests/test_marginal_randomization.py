@@ -94,7 +94,14 @@ def run(tmp_path, command, spec, config, seed=0):
 
 def test_simulate_randomization_builds_only_the_senders_w_marginal(tmp_path,
                                                                    monkeypatch):
-    dims = record_dims(monkeypatch, ["tensor_power", "_mix"])
+    dims = record_dims(monkeypatch, ["tensor_power"])
+    inner = protocols._mixture
+
+    def mixture(m, layout, *args):
+        dims.append(layout.dim)
+        return inner(m, layout, *args)
+
+    monkeypatch.setattr(protocols, "_mixture", mixture)
     n = 2
     assert run(tmp_path, "simulate-randomization", GHZ5_ROLES,
                {"n": n, "block_sizes": [2], "trials": 2}) == 0

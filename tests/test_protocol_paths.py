@@ -248,7 +248,8 @@ def test_randomization_with_empty_w(tmp_path):
 
 
 class DrawnFamily(Exception):
-    """Raised by a patched `make_family`: the run got past every budget."""
+    """Raised by a patched `make_family` or `_family_stack`: the run got past
+    every budget."""
 
 
 @pytest.fixture
@@ -256,7 +257,8 @@ def no_family(monkeypatch):
     def drawn(*args, **kwargs):
         raise DrawnFamily
 
-    monkeypatch.setattr(protocols, "make_family", drawn)
+    for name in ("make_family", "_family_stack"):
+        monkeypatch.setattr(protocols, name, drawn)
 
 
 TWO_BELL = {"preset": {"name": "two-bell"}}

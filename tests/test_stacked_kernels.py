@@ -86,11 +86,21 @@ class TestStackedApplyLocal:
         for k in range(count):
             assert same_bits(single[k], out[0, k])
 
-    def test_conjugation_refuses_a_stack_of_operators(self):
-        layout = SystemLayout((("A", 2), ("B", 2)))
-        rho = random_density(layout, 2, 0)
-        with pytest.raises(ValueError, match="square matrix"):
-            conjugate_local(rho.matrix, np.stack([np.eye(2)] * 2), ["A"], layout)
+    @settings(max_examples=60, deadline=None)
+    @given(case=stacked_cases())
+    def test_each_conjugation_is_one_call(self, case):
+        layout, on, (trials, count, _), seed = case
+        rng = np.random.default_rng(seed)
+        ms = _random_matrix(rng, trials, layout.dim, layout.dim)
+        ops = _random_matrix(rng, trials, count, layout.dim_of(on), layout.dim_of(on))
+        out = conjugate_local(ms[:, None], ops, on, layout)
+        assert out.shape == (trials, count, layout.dim, layout.dim)
+        for t, k in product(range(trials), range(count)):
+            assert same_bits(out[t, k], conjugate_local(ms[t], ops[t, k], on, layout)), (t, k)
+        # one matrix, a stack of operators
+        single = conjugate_local(ms[0], ops[0], on, layout)
+        for k in range(count):
+            assert same_bits(single[k], out[0, k])
 
 
 class TestHaarFamily:
@@ -132,7 +142,7 @@ class TestStackedTraceNorms:
 
     @pytest.mark.parametrize("stack_bytes", [1, 3 * 16 * 16 * 16, 1 << 20])
     def test_chunks_give_the_per_item_norms(self, monkeypatch, stack_bytes):
-        monkeypatch.setattr(protocols, "STACK_BYTES", stack_bytes)
+        monkeypatch.setattr(protocols, "TRIAL_BYTES", stack_bytes)
         layout = SystemLayout((("A", 4), ("B", 4)))
         states = np.stack([random_density(layout, 3, s).matrix for s in range(8)])
         ref = random_density(layout, 16, 99).matrix

@@ -6,7 +6,8 @@ tracemalloc sees numpy's arrays, not LAPACK's work buffers. A `DensityMatrix`
 check holds one Hermitian part and the Cholesky factor, and the state then
 keeps one copy of its input; `_mix` holds its accumulator and
 `conjugate_local`'s two temporaries; `trace_norm` holds the Hermitian
-deviation and its absolute value.
+deviation and its absolute value. A randomization run on a 256-dim state
+stacks one trial per chunk, so its peak is that of one trial.
 """
 
 import tracemalloc
@@ -14,7 +15,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qmap.protocols import _mix, haar_unitary
+from qmap import protocols
+from qmap.presets import resolve_state_spec
+from qmap.protocols import _mix, chained_randomization_experiment, haar_unitary
 from qmap.qstate import DensityMatrix, SystemLayout, random_density, trace_norm
 
 LAYOUT = SystemLayout(tuple((f"Q{i}", 2) for i in range(10)))
@@ -56,3 +59,30 @@ def test_peak_temporaries_stay_within_the_limit(kernel):
     finally:
         tracemalloc.stop()
     assert (peak - before) / MATRIX_BYTES <= limit
+
+
+def test_a_256_dim_randomization_chunk_holds_one_trial(monkeypatch):
+    """Two-bell at n = 2 with blocks of 4: stage 1 mixes a 256-dim state. Every
+    `_mixture` stacks one trial, and the run's peak above its start stays
+    within 8.5 256-dim matrices (the setup's three plus one trial's mixtures
+    and trace-norm temporaries); a chunk of two trials would pass 10."""
+    spec = resolve_state_spec({"preset": {"name": "two-bell"}})
+    stacked = []
+    inner = protocols._mixture
+
+    def recording(m, layout, unitaries, on):
+        stacked.append((layout.dim, len(unitaries)))
+        return inner(m, layout, unitaries, on)
+
+    monkeypatch.setattr(protocols, "_mixture", recording)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        chained_randomization_experiment(spec.state, spec.senders, list(spec.receiver), 2,
+                                         [4, 4], 3, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert {dim for dim, _ in stacked} == {256, 64}
+    assert all(trials == 1 for _, trials in stacked)
+    assert (peak - before) / (256 ** 2 * np.dtype(complex).itemsize) <= 8.5
