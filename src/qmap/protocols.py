@@ -34,6 +34,7 @@ from .qstate import (
     apply_local,
     check_density,
     check_psd,
+    check_trace,
     conjugate_local,
     label_groups,
     maximally_mixed,
@@ -391,11 +392,13 @@ class Povm:
         if not self.elements:
             raise ValueError("POVM needs at least one element")
         d = self.elements[0].shape[0]
+        if any(el.shape != (d, d) for el in self.elements):
+            raise DimensionError("POVM elements must share one dimension")
+        # one stacked check per chunk of TRIAL_BYTES; the first bad element raises
+        for c in _trial_chunks(len(self.elements), self.elements[0].nbytes):
+            check_psd(np.stack(self.elements[c.start:c.stop]), POVM_PSD_TOL, "POVM element")
         total = np.zeros((d, d), dtype=complex)
         for el in self.elements:
-            if el.shape != (d, d):
-                raise DimensionError("POVM elements must share one dimension")
-            check_psd(el, POVM_PSD_TOL, "POVM element")
             total += el
         dev = np.max(np.abs(total - np.eye(d)))
         require(dev, POVM_SUM_TOL, StateValidationError,
@@ -547,17 +550,22 @@ def pgm_success_table(factor: np.ndarray, layout: SystemLayout,
     return table
 
 
+def _kron_power(factor: np.ndarray, n: int) -> np.ndarray:
+    """factor^(x)n, copy-major as `SystemLayout.power` orders the copies."""
+    out = factor
+    for _ in range(n - 1):
+        out = np.kron(out, factor)
+    return out
+
+
 def _message_factors(factor: np.ndarray, layout: SystemLayout, n: int,
                      families: Sequence[UnitaryFamily | np.ndarray],
                      groups: Sequence[Sequence[str]], blocks: np.ndarray) -> list[np.ndarray]:
     """Per message m, the factors U_k F^(x)n of the L index tuples k in row m of
     `blocks` side by side, from one `_stacked_walk` over the block unitaries
     (of each family, or of its `per_index` array): F_m F_m^dag = L rho_m."""
-    factor_n = factor
-    for _ in range(n - 1):
-        factor_n = np.kron(factor_n, factor)
     ops = [f.blocks if isinstance(f, UnitaryFamily) else _kron_blocks(f) for f in families]
-    stack = _stacked_walk(factor_n, layout.power(n), ops,
+    stack = _stacked_walk(_kron_power(factor, n), layout.power(n), ops,
                           [SystemLayout.copy_major(g, n) for g in groups])
     return [np.hstack(stack[row]) for row in blocks]
 
@@ -1006,6 +1014,87 @@ def typical_projector(rho: DensityMatrix, n: int, delta: float) -> TypicalProjec
                             max_prob, holds)
 
 
+@dataclass(frozen=True, eq=False)
+class _State:
+    """A randomization state or target (or a stack): its square-root factor G
+    when `held`, else its matrix. A factor's trace ||G||_F^2 is checked here;
+    G G^dag is Hermitian and PSD by construction."""
+
+    array: np.ndarray
+    held: bool
+
+    def __post_init__(self):
+        if self.held:
+            check_trace(np.sum(np.abs(self.array) ** 2, axis=(-2, -1)))
+
+    @cached_property
+    def dense(self) -> np.ndarray:
+        a = self.array
+        return a @ np.swapaxes(a.conj(), -1, -2) if self.held else a
+
+
+class _Power:
+    """marginal^(x)n as the factor F^(x)n (F = `_sqrt_factor` of the marginal
+    cut at RANK_CUTOFF, width r^n) or as a `DensityMatrix`, each built on first
+    use. A state whose factor would be wider than the space d^n is held
+    dense, as `_pgm_message_success` rules for N r^n > d^n."""
+
+    def __init__(self, marginal: DensityMatrix, n: int):
+        self.marginal, self.n, self.layout = marginal, n, marginal.layout.power(n)
+        self.single = _sqrt_factor(marginal.matrix, RANK_CUTOFF)
+        self.width = self.single.shape[1] ** n
+
+    @cached_property
+    def factor(self) -> np.ndarray:
+        return _kron_power(self.single, self.n)
+
+    @cached_property
+    def dense(self) -> DensityMatrix:
+        return tensor_power(self.marginal, self.n)
+
+    def target(self, on: Sequence[str]) -> _State:
+        """(I/d_on) (x) Tr_on(marginal^(x)n): the factor F^(x)n with its rows
+        moved by the d_on^2 matrix units |a><i| on `on`, side by side, over
+        sqrt(d_on) (width d_on^2 r^n), while no wider than the space; else
+        `_randomization_target`."""
+        d_on = self.layout.dim_of(on)
+        if d_on ** 2 * self.width > self.layout.dim:
+            return _State(_randomization_target(self.dense, on).matrix, False)
+        units = np.eye(d_on ** 2).reshape(-1, d_on, d_on)
+        t = np.moveaxis(apply_local(self.factor, units, on, self.layout), 0, -2)
+        return _State(t.reshape(self.layout.dim, -1) / math.sqrt(d_on), True)
+
+
+def _randomized(state: _State, layout: SystemLayout, unitaries: np.ndarray,
+                on: Sequence[str]) -> _State:
+    """The uniform mixture of `state` over the unitaries (..., K, d_on, d_on) on
+    `on`: the factor [U_k G]_k / sqrt(K) from one stacked `apply_local` while
+    that is no wider than the space, else `_mixture` of the dense state,
+    checked by `check_density`."""
+    count, g = unitaries.shape[-3], state.array
+    if state.held and count * g.shape[-1] <= layout.dim:
+        g = apply_local(g[..., None, :, :], unitaries, on, layout)
+        g = np.moveaxis(g, -3, -2).reshape(g.shape[:-3] + (layout.dim, -1))
+        return _State(g / math.sqrt(count), True)
+    mixed = _mixture(state.dense, layout, unitaries, on)
+    check_density(mixed)
+    return _State(mixed, False)
+
+
+def _distances(state: _State, target: _State) -> tuple[float, ...]:
+    """||rho - tau||_1 for each state rho of a stack and the target tau. For
+    factors with w_G + w_T <= D, G G^dag - T T^dag = Q R J R^dag Q^dag with
+    [G T] = QR and J = +1 on G's columns, -1 on T's, so the norm is the sum
+    of |eig(R J R^dag)|; otherwise `_trace_norms` of the dense forms."""
+    g, t = state.array, target.array
+    if not (state.held and target.held and g.shape[-1] + t.shape[-1] <= len(t)):
+        return _trace_norms(state.dense, target.dense)
+    r = np.linalg.qr(np.concatenate(
+        [g, np.broadcast_to(t, g.shape[:-1] + t.shape[-1:])], axis=-1), mode="r")
+    r_j = r * np.repeat([1.0, -1.0], [g.shape[-1], t.shape[-1]])
+    return tuple(float(v) for v in trace_norm(r_j @ np.swapaxes(r.conj(), -1, -2)))
+
+
 def chained_randomization_experiment(rho: DensityMatrix, senders: Sequence,
                                      w_labels: Sequence[str], n: int,
                                      block_sizes: Sequence[int], trials: int,
@@ -1016,6 +1105,8 @@ def chained_randomization_experiment(rho: DensityMatrix, senders: Sequence,
     chain total <= sum of stages. Stage z mixes sender z on the n-copy
     marginal of senders z..Z and W, and the total mixes senders 2..Z onto
     stage 1's state, so the budget bounds (senders + W)^(x)n, not rho^(x)n.
+    Each state and target is held as a square-root factor while that is no
+    wider than the space (`_Power`, `_randomized`, `_distances`), else dense.
     Before any marginal or family is built, the largest block size is bounded
     by 2^budget_qubits(), as a code's index space is. The trials run as
     stacks (Haar prefix (t, z)) in `_trial_chunks`."""
@@ -1029,37 +1120,35 @@ def chained_randomization_experiment(rho: DensityMatrix, senders: Sequence,
     copy_groups = [SystemLayout.copy_major(g, n) for g in groups]
 
     stages = []
-    for z, group in enumerate(copy_groups):
+    for z, (group, size) in enumerate(zip(copy_groups, block_sizes)):
         suffix = [lab for g in groups[z:] for lab in g] + list(w_labels)
         marginal = partial_trace(rho, suffix)
         check_dim_budget(marginal.dim, n)
-        marg_n = tensor_power(marginal, n)
-        stages.append((group, marg_n, _randomization_target(marg_n, group)))
-    total_target = _randomization_target(stages[0][1], sum(copy_groups, ()))
+        power = _Power(marginal, n)
+        state = (_State(power.factor, True) if size * power.width <= power.layout.dim
+                 else _State(power.dense.matrix, False))
+        stages.append((group, power.layout, state, power.target(group)))
+        if z == 0:
+            total_target = power.target(sum(copy_groups, ()))
 
     samples: dict[str, list[float]] = {
         "total_distance": [], **{f"stage_{z}_distance": [] for z in range(1, z_count + 1)}}
-    chain_layout = stages[0][1].layout
-    # a trial's largest arrays: stage 1's state and a sender's block unitaries
-    trial_bytes = max([stages[0][1].matrix.nbytes] + [
+    chain_layout = stages[0][1]
+    # a trial's largest arrays: stage 1's dense state and a sender's block unitaries
+    trial_bytes = max([16 * chain_layout.dim ** 2] + [
         16 * l * rho.layout.dim_of(g) ** (2 * n) for g, l in zip(groups, block_sizes)])
     for chunk in _trial_chunks(trials, trial_bytes):
         blocks = [_kron_blocks(_family_stack(family, n, rho.layout.dim_of(g), l, master_seed,
                                              [(t, z) for t in chunk]))
                   for z, (g, l) in enumerate(zip(groups, block_sizes), start=1)]
         stage_total = np.zeros(len(chunk))
-        for z, (u, (group, marg_n, target)) in enumerate(zip(blocks, stages), start=1):
-            randomized = _mixture(marg_n.matrix, marg_n.layout, u, group)
-            check_density(randomized)
-            dists = _trace_norms(randomized, target.matrix)
+        for z, (u, (group, layout, state, target)) in enumerate(zip(blocks, stages), start=1):
+            randomized = _randomized(state, layout, u, group)
+            dists = _distances(randomized, target)
             samples[f"stage_{z}_distance"] += dists
             stage_total += dists
-            if z == 1:
-                chain = randomized
-            else:
-                chain = _mixture(chain, chain_layout, u, group)
-                check_density(chain)
-        totals = _trace_norms(chain, total_target.matrix)
+            chain = randomized if z == 1 else _randomized(chain, chain_layout, u, group)
+        totals = _distances(chain, total_target)
         for total, bound in zip(totals, stage_total.tolist()):
             require(total, bound + 1e-9, AssertionError,
                     "triangle chain violated: total {} > stage sum {}", total, bound)

@@ -302,7 +302,13 @@ def check_density(m: np.ndarray) -> None:
     """The `DensityMatrix` check of `m`, or of each matrix of a stack: `check_psd`
     within PSD_TOL, then unit trace within TRACE_TOL (the first failing raises)."""
     check_psd(m, PSD_TOL, "matrix")
-    traces = m.trace(axis1=-2, axis2=-1).real.reshape(-1)
+    check_trace(m.trace(axis1=-2, axis2=-1).real)
+
+
+def check_trace(traces: np.ndarray) -> None:
+    """Raise StateValidationError unless each trace is 1 within TRACE_TOL (the
+    first failing raises, with `check_density`'s message)."""
+    traces = traces.reshape(-1)
     # the first trace out of tolerance, else one within it
     tr = float(traces[max(0, _first_failing(np.abs(traces - 1), TRACE_TOL))])
     require(abs(tr - 1), TRACE_TOL, StateValidationError,

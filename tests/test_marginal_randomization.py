@@ -94,14 +94,16 @@ def run(tmp_path, command, spec, config, seed=0):
 
 def test_simulate_randomization_builds_only_the_senders_w_marginal(tmp_path,
                                                                    monkeypatch):
+    """The n-copy dimension of each marginal the run builds, whether it is held
+    as a factor or dense, and the state passed to each `tensor_power`."""
     dims = record_dims(monkeypatch, ["tensor_power"])
-    inner = protocols._mixture
+    inner = protocols._Power.__init__
 
-    def mixture(m, layout, *args):
-        dims.append(layout.dim)
-        return inner(m, layout, *args)
+    def init(self, marginal, n):
+        dims.append(marginal.dim ** n)
+        inner(self, marginal, n)
 
-    monkeypatch.setattr(protocols, "_mixture", mixture)
+    monkeypatch.setattr(protocols._Power, "__init__", init)
     n = 2
     assert run(tmp_path, "simulate-randomization", GHZ5_ROLES,
                {"n": n, "block_sizes": [2], "trials": 2}) == 0

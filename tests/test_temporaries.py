@@ -62,19 +62,26 @@ def test_peak_temporaries_stay_within_the_limit(kernel):
 
 
 def test_a_256_dim_randomization_chunk_holds_one_trial(monkeypatch):
-    """Two-bell at n = 2 with blocks of 4: stage 1 mixes a 256-dim state. Every
-    `_mixture` stacks one trial, and the run's peak above its start stays
-    within 8.5 256-dim matrices (the setup's three plus one trial's mixtures
-    and trace-norm temporaries); a chunk of two trials would pass 10."""
+    """Two-bell at n = 2 with blocks of 4: stage 1's state is 256-dim. Every
+    chunk holds one trial, no state is mixed densely (each is a square-root
+    factor), and the run's peak above its start stays within 6 256-dim
+    matrices: the total target's factor and dense form, one trial's densified
+    chain and its trace-norm temporaries (5.9); a chunk of two trials reaches 9.5."""
     spec = resolve_state_spec({"preset": {"name": "two-bell"}})
-    stacked = []
-    inner = protocols._mixture
+    chunks, mixed = [], []
+    inner, inner_mixture = protocols._trial_chunks, protocols._mixture
 
-    def recording(m, layout, unitaries, on):
-        stacked.append((layout.dim, len(unitaries)))
-        return inner(m, layout, unitaries, on)
+    def recording(trials, trial_bytes):
+        out = inner(trials, trial_bytes)
+        chunks.extend(len(c) for c in out)
+        return out
 
-    monkeypatch.setattr(protocols, "_mixture", recording)
+    def mixture(*args):
+        mixed.append(args)
+        return inner_mixture(*args)
+
+    monkeypatch.setattr(protocols, "_trial_chunks", recording)
+    monkeypatch.setattr(protocols, "_mixture", mixture)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -83,6 +90,5 @@ def test_a_256_dim_randomization_chunk_holds_one_trial(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert {dim for dim, _ in stacked} == {256, 64}
-    assert all(trials == 1 for _, trials in stacked)
-    assert (peak - before) / (256 ** 2 * np.dtype(complex).itemsize) <= 8.5
+    assert chunks and set(chunks) == {1} and not mixed
+    assert (peak - before) / (256 ** 2 * np.dtype(complex).itemsize) <= 6.0

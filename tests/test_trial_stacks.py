@@ -33,6 +33,7 @@ from qmap.qstate import (
     DensityMatrix,
     StateValidationError,
     SystemLayout,
+    apply_local,
     check_psd,
     conjugate_local,
     label_groups,
@@ -63,28 +64,78 @@ def reference_mix(rho, unitaries, on):
     return DensityMatrix(total / len(unitaries), rho.layout)
 
 
+def reference_factor(marginal, n):
+    """F^(x)n for the marginal's square-root factor F cut at RANK_CUTOFF."""
+    single = _sqrt_factor(marginal.matrix, RANK_CUTOFF)
+    factor = single
+    for _ in range(n - 1):
+        factor = np.kron(factor, single)
+    return factor
+
+
+def reference_target(marginal, n, on):
+    """(I/d_on) (x) Tr_on(marginal^(x)n): the factor of each matrix unit |a><i|
+    on `on` applied to F^(x)n, side by side, while no wider than d^n (as
+    (factor, True)); else the dense target (as (matrix, False))."""
+    factor, layout = reference_factor(marginal, n), marginal.layout.power(n)
+    d_on = layout.dim_of(on)
+    if d_on ** 2 * factor.shape[1] > layout.dim:
+        return _randomization_target(tensor_power(marginal, n), on).matrix, False
+    units = np.eye(d_on ** 2).reshape(-1, d_on, d_on)
+    return np.hstack([apply_local(factor, e, on, layout) for e in units]) / math.sqrt(d_on), True
+
+
+def reference_randomize(state, layout, unitaries, on):
+    """One trial's mixture of a (matrix, is-factor) state: [U_k G] / sqrt(K) one
+    block at a time while no wider than the space, else `reference_mix`."""
+    x, factor = state
+    if factor and len(unitaries) * x.shape[1] <= layout.dim:
+        return np.hstack([apply_local(x, u, on, layout) for u in unitaries]) \
+            / math.sqrt(len(unitaries)), True
+    dense = x @ x.conj().T if factor else x
+    return reference_mix(DensityMatrix(dense, layout), unitaries, on).matrix, False
+
+
+def reference_distance(state, target):
+    """One trial's ||rho - tau||_1: Gram form when both are factors whose widths
+    sum to at most the space's dimension, else `trace_norm` of the dense forms."""
+    (x, x_factor), (t, t_factor) = state, target
+    if x_factor and t_factor and x.shape[1] + t.shape[1] <= len(t):
+        r = np.linalg.qr(np.hstack([x, t]), mode="r")
+        sign = np.repeat([1.0, -1.0], [x.shape[1], t.shape[1]])
+        return trace_norm((r * sign) @ r.conj().T)
+    return trace_norm((x @ x.conj().T if x_factor else x)
+                      - (t @ t.conj().T if t_factor else t))
+
+
 def reference_randomization(rho, senders, w, n, block_sizes, trials, seed, family):
     """The per-trial loop: one family per (trial, sender), one mixture and one
-    `trace_norm` per distance."""
+    distance per state, each state held as a factor while that is no wider
+    than the space."""
     groups = label_groups(senders)
     copy_groups = [SystemLayout.copy_major(g, n) for g in groups]
     stages = []
-    for z, group in enumerate(copy_groups):
+    for z, (group, size) in enumerate(zip(copy_groups, block_sizes)):
         suffix = [lab for g in groups[z:] for lab in g] + w
-        marg_n = tensor_power(partial_trace(rho, suffix), n)
-        stages.append((group, marg_n, _randomization_target(marg_n, group)))
-    total_target = _randomization_target(stages[0][1], sum(copy_groups, ()))
+        marginal = partial_trace(rho, suffix)
+        factor, layout = reference_factor(marginal, n), marginal.layout.power(n)
+        start = ((factor, True) if size * factor.shape[1] <= layout.dim
+                 else (tensor_power(marginal, n).matrix, False))
+        stages.append((group, layout, start, reference_target(marginal, n, group)))
+        if z == 0:
+            total_target = reference_target(marginal, n, sum(copy_groups, ()))
     samples = {"total_distance": [],
                **{f"stage_{z}_distance": [] for z in range(1, len(groups) + 1)}}
     for t in range(trials):
         families = [make_family(family, z, n, rho.layout.dim_of(g), l, seed, (t, z))
                     for z, (g, l) in enumerate(zip(groups, block_sizes), start=1)]
-        for z, (fam, (group, marg_n, target)) in enumerate(zip(families, stages), start=1):
-            randomized = reference_mix(marg_n, fam.blocks, group)
-            distance = trace_norm(randomized.matrix - target.matrix)
-            samples[f"stage_{z}_distance"].append(distance)
-            chain = randomized if z == 1 else reference_mix(chain, fam.blocks, group)
-        samples["total_distance"].append(trace_norm(chain.matrix - total_target.matrix))
+        for z, (fam, (group, layout, start, target)) in enumerate(zip(families, stages),
+                                                                  start=1):
+            randomized = reference_randomize(start, layout, fam.blocks, group)
+            samples[f"stage_{z}_distance"].append(reference_distance(randomized, target))
+            chain = (randomized if z == 1
+                     else reference_randomize(chain, stages[0][1], fam.blocks, group))
+        samples["total_distance"].append(reference_distance(chain, total_target))
     return samples
 
 
@@ -142,6 +193,16 @@ class TestRandomization:
         assert chunk_sizes and all(sizes == [trials] for sizes in chunk_sizes)
         assert_same_samples(report, reference_randomization(
             spec.state, spec.senders, w_labels(spec), n, block_sizes, trials, seed, family))
+
+    @pytest.mark.parametrize("n, block_sizes, family", [
+        (2, [4, 4], "haar"), (2, [16, 16], "pauli")], ids=["haar", "pauli"])
+    def test_two_bell_at_n2_matches_the_per_trial_loop(self, n, block_sizes, family):
+        """256-dim stage states, one trial per chunk: stage 1 in Gram form,
+        stage 2 and the total densified for their distances."""
+        spec = resolve_state_spec(TWO_BELL)
+        args = (spec.state, spec.senders, w_labels(spec), n, block_sizes, 2, 4, family)
+        assert_same_samples(chained_randomization_experiment(*args),
+                            reference_randomization(*args))
 
     def test_a_chunk_counts_the_block_unitaries(self, chunk_sizes):
         """bell with blocks of 64: a trial's 64 block unitaries (4 KiB) outweigh
