@@ -65,12 +65,14 @@ class BudgetError(ValueError):
 
 
 def budget_qubits() -> int:
-    """The dense-matrix budget in qubits: `QMAP_BUDGET_QUBITS`, else 12; at most 14."""
+    """The dense-matrix budget in qubits: `QMAP_BUDGET_QUBITS` (>= 0), else 12; at most 14."""
     raw = os.environ.get("QMAP_BUDGET_QUBITS", str(DEFAULT_BUDGET_QUBITS))
     try:
-        return min(MAX_BUDGET_QUBITS, int(raw))
+        qubits = int(raw)
     except ValueError:
-        raise ValueError(f"QMAP_BUDGET_QUBITS must be an integer, got {raw!r}") from None
+        qubits = -1
+    require(-qubits, 0, ValueError, "QMAP_BUDGET_QUBITS must be an integer >= 0, got {!r}", raw)
+    return min(MAX_BUDGET_QUBITS, qubits)
 
 
 def check_dim_budget(base: int, exponent: int = 1) -> None:
@@ -888,17 +890,6 @@ def build_qmap_code(rho: DensityMatrix, senders: Sequence, b: Sequence[str],
                     tuple(float(v) for v in success), family, decoder, master_seed)
 
 
-def _message_states(code: CodeSpec, rho_n: DensityMatrix):
-    """The message states in flat message order, built one at a time by a
-    `_prefix_walk` over the message tuples whose step `_mix`es sender z's
-    block of message m_z, so the messages that share (m_1..m_z) share its
-    mixture."""
-    ops = [f.blocks.reshape(m, l, *f.blocks.shape[1:])
-           for f, m, l in zip(code.families, code.message_counts, code.block_sizes)]
-    return _prefix_walk(rho_n, ops, code.sender_groups,
-                        product(*[range(m) for m in code.message_counts]), _mix)
-
-
 # the bytes of the largest array a chunk of stacked items holds (at least one
 # item): a 256-dim state is a chunk of one, and a stacked step holds a few such
 TRIAL_BYTES = 1 << 20
@@ -911,12 +902,6 @@ def _trial_chunks(trials: int, trial_bytes: int) -> list[range]:
     return [range(i, min(i + step, trials)) for i in range(0, trials, step)]
 
 
-def _trace_norms(stack: np.ndarray, ref: np.ndarray) -> tuple[float, ...]:
-    """trace_norm(x - ref) for each matrix x of a stack, one call per chunk."""
-    return tuple(float(v) for c in _trial_chunks(len(stack), ref.nbytes)
-                 for v in trace_norm(stack[c.start:c.stop] - ref))
-
-
 def evaluate_code(code: CodeSpec, rho: DensityMatrix) -> SimulationReport:
     """Decoding error and leakage of a code, exactly over its whole message
     space (at most MAX_MESSAGES messages, else BudgetError).
@@ -924,10 +909,10 @@ def evaluate_code(code: CodeSpec, rho: DensityMatrix) -> SimulationReport:
     Success is the code's own `success`. Leakage and randomization distance
     read only the senders-plus-eavesdropper marginal of each message, and
     the sender unitaries commute with the trace over B, so every code mixes
-    its messages on that marginal's n-th tensor power: two-bell runs at
-    n = 3 on 64-dim states. Their mean is theta's average state, and the
-    randomization target is that mean with its sender factors maximally
-    mixed. The d^n budget is still checked up front, so n = 4 is refused.
+    its messages on that marginal's n-th power (`_Power`) by a `_prefix_walk`
+    whose step `_randomized` mixes sender z's block of message m_z (shared by
+    the messages with that prefix); theta reads their mean (`_average`), the
+    distance `_Power.target`. The d^n budget is still checked up front.
 
     Reports per-message success, leakage and randomization-distance
     samples, epsilon = 1 - mean success and theta = mean leakage.
@@ -936,22 +921,24 @@ def evaluate_code(code: CodeSpec, rho: DensityMatrix) -> SimulationReport:
     check_dim_budget(rho.dim, code.n)
     sender_copy = [lab for g in code.sender_groups for lab in g]
     leak_labels = set(sender_copy) | set(code.e_labels)
-    rho_n = tensor_power(partial_trace(rho, [
+    power = _Power(partial_trace(rho, [
         lab for lab in rho.layout.labels
         if SystemLayout.copy_labels(lab, 1)[0] in leak_labels]), code.n)
-
-    # each message state lives on exactly the leak labels, so its matrix is
-    # its leakage marginal
-    msg_leaks = np.empty((code.message_space, rho_n.dim, rho_n.dim), dtype=complex)
-    for leak, state in zip(msg_leaks, _message_states(code, rho_n)):
-        leak[...] = state.matrix
-    bar_leak = DensityMatrix(sum(msg_leaks) / len(msg_leaks), rho_n.layout)
-    target = _randomization_target(bar_leak, sender_copy)
-
+    ops = [f.blocks.reshape(m, l, *f.blocks.shape[1:])
+           for f, m, l in zip(code.families, code.message_counts, code.block_sizes)]
+    walk = _prefix_walk(power.state(code.block_sizes[0]), ops, code.sender_groups,
+                        product(*[range(m) for m in code.message_counts]),
+                        lambda state, u, on: _randomized(state, power.layout, u, on))
+    stack = None
+    for i, state in enumerate(walk):
+        if stack is None:  # every message has the first one's form and width
+            stack = np.empty((code.message_space, *state.array.shape), dtype=complex)
+        stack[i] = state.array
+    messages = _State(stack, state.held)
     samples = {
         "success": code.success,
-        "leakage": _trace_norms(msg_leaks, bar_leak.matrix),
-        "randomization_distance": _trace_norms(msg_leaks, target.matrix),
+        "leakage": _distances(messages, _average(messages)),
+        "randomization_distance": _distances(messages, power.target(sender_copy)),
     }
     estimates = _mean_estimates(samples)
     estimates["epsilon"] = 1.0 - estimates["success"]
@@ -963,7 +950,7 @@ def evaluate_code(code: CodeSpec, rho: DensityMatrix) -> SimulationReport:
         "message_counts": list(code.message_counts),
         "block_sizes": list(code.block_sizes),
     }
-    return SimulationReport(len(msg_leaks), estimates, samples, code.master_seed, extra)
+    return SimulationReport(len(stack), estimates, samples, code.master_seed, extra)
 
 
 @dataclass(frozen=True)
@@ -1016,9 +1003,9 @@ def typical_projector(rho: DensityMatrix, n: int, delta: float) -> TypicalProjec
 
 @dataclass(frozen=True, eq=False)
 class _State:
-    """A randomization state or target (or a stack): its square-root factor G
-    when `held`, else its matrix. A factor's trace ||G||_F^2 is checked here;
-    G G^dag is Hermitian and PSD by construction."""
+    """A mixed state or target (or a stack): its square-root factor G while
+    strictly narrower than the space D (`held`; a D-wide G never takes the Gram
+    form), else its matrix. ||G||_F^2 is checked; G G^dag is PSD by construction."""
 
     array: np.ndarray
     held: bool
@@ -1034,10 +1021,8 @@ class _State:
 
 
 class _Power:
-    """marginal^(x)n as the factor F^(x)n (F = `_sqrt_factor` of the marginal
-    cut at RANK_CUTOFF, width r^n) or as a `DensityMatrix`, each built on first
-    use. A state whose factor would be wider than the space d^n is held
-    dense, as `_pgm_message_success` rules for N r^n > d^n."""
+    """marginal^(x)n, held as the factor F^(x)n (F = `_sqrt_factor` of the
+    marginal cut at RANK_CUTOFF, width r^n), built on first use."""
 
     def __init__(self, marginal: DensityMatrix, n: int):
         self.marginal, self.n, self.layout = marginal, n, marginal.layout.power(n)
@@ -1048,31 +1033,41 @@ class _Power:
     def factor(self) -> np.ndarray:
         return _kron_power(self.single, self.n)
 
-    @cached_property
-    def dense(self) -> DensityMatrix:
-        return tensor_power(self.marginal, self.n)
+    def state(self, count: int) -> _State:
+        """The start of a mixture over `count` unitaries: the factor while the
+        mixture's (width count r^n) is narrower than the space, else dense."""
+        if count * self.width < self.layout.dim:
+            return _State(self.factor, True)
+        return _State(tensor_power(self.marginal, self.n).matrix, False)
 
     def target(self, on: Sequence[str]) -> _State:
-        """(I/d_on) (x) Tr_on(marginal^(x)n): the factor F^(x)n with its rows
-        moved by the d_on^2 matrix units |a><i| on `on`, side by side, over
-        sqrt(d_on) (width d_on^2 r^n), while no wider than the space; else
-        `_randomization_target`."""
-        d_on = self.layout.dim_of(on)
-        if d_on ** 2 * self.width > self.layout.dim:
-            return _State(_randomization_target(self.dense, on).matrix, False)
-        units = np.eye(d_on ** 2).reshape(-1, d_on, d_on)
-        t = np.moveaxis(apply_local(self.factor, units, on, self.layout), 0, -2)
-        return _State(t.reshape(self.layout.dim, -1) / math.sqrt(d_on), True)
+        """(I/d_on) (x) Tr_on(marginal^(x)n) from the rows of F^(x)n: while
+        narrower than the space, F^(x)n's rows moved by the d_on^2 matrix units
+        |a><i| on `on`, side by side, over sqrt(d_on) (width d_on^2 r^n); else
+        I/d_on (x) Tr_on(F F^dag) with `on` moved to the front, trace-checked."""
+        plan = self.layout._plan(on)
+        d_on, dim = plan.d_on, self.layout.dim
+        if d_on ** 2 * self.width < dim:
+            units = np.eye(d_on ** 2).reshape(-1, d_on, d_on)
+            t = np.moveaxis(apply_local(self.factor, units, on, self.layout), 0, -2)
+            return _State(t.reshape(dim, -1) / math.sqrt(d_on), True)
+        rows = self.factor.reshape(self.layout.dims + (-1,)).transpose(plan.rows)
+        rows = rows.reshape(d_on, plan.d_rest, -1)
+        rest = np.tensordot(rows, rows.conj(), axes=([0, 2], [0, 2]))
+        target = np.kron(np.eye(d_on) / d_on, rest).reshape(plan.moved * 2)
+        target = target.transpose(plan.both_back).reshape(dim, dim)
+        check_trace(np.trace(target).real)
+        return _State(target, False)
 
 
 def _randomized(state: _State, layout: SystemLayout, unitaries: np.ndarray,
                 on: Sequence[str]) -> _State:
     """The uniform mixture of `state` over the unitaries (..., K, d_on, d_on) on
     `on`: the factor [U_k G]_k / sqrt(K) from one stacked `apply_local` while
-    that is no wider than the space, else `_mixture` of the dense state,
+    that is narrower than the space, else `_mixture` of the dense state,
     checked by `check_density`."""
     count, g = unitaries.shape[-3], state.array
-    if state.held and count * g.shape[-1] <= layout.dim:
+    if state.held and count * g.shape[-1] < layout.dim:
         g = apply_local(g[..., None, :, :], unitaries, on, layout)
         g = np.moveaxis(g, -3, -2).reshape(g.shape[:-3] + (layout.dim, -1))
         return _State(g / math.sqrt(count), True)
@@ -1081,14 +1076,31 @@ def _randomized(state: _State, layout: SystemLayout, unitaries: np.ndarray,
     return _State(mixed, False)
 
 
+def _average(states: _State) -> _State:
+    """The uniform mixture of a stack of M states: their factors side by side
+    over sqrt(M) while that is narrower than the space, else the mean of
+    their dense forms, checked by `check_density`."""
+    a = states.array
+    if states.held:
+        a = np.swapaxes(a, 0, 1).reshape(a.shape[1], -1) / math.sqrt(len(a))
+        if a.shape[1] < len(a):
+            return _State(a, True)
+    mean = a @ a.conj().T if states.held else sum(a) / len(a)
+    check_density(mean)
+    return _State(mean, False)
+
+
 def _distances(state: _State, target: _State) -> tuple[float, ...]:
     """||rho - tau||_1 for each state rho of a stack and the target tau. For
     factors with w_G + w_T <= D, G G^dag - T T^dag = Q R J R^dag Q^dag with
     [G T] = QR and J = +1 on G's columns, -1 on T's, so the norm is the sum
-    of |eig(R J R^dag)|; otherwise `_trace_norms` of the dense forms."""
+    of |eig(R J R^dag)|; otherwise `trace_norm` of the dense differences, one
+    call per `_trial_chunks` chunk of the stack, a factor densified per chunk."""
     g, t = state.array, target.array
     if not (state.held and target.held and g.shape[-1] + t.shape[-1] <= len(t)):
-        return _trace_norms(state.dense, target.dense)
+        ref = target.dense
+        return tuple(float(v) for c in _trial_chunks(len(g), ref.nbytes)
+                     for v in trace_norm(_State(g[c.start:c.stop], state.held).dense - ref))
     r = np.linalg.qr(np.concatenate(
         [g, np.broadcast_to(t, g.shape[:-1] + t.shape[-1:])], axis=-1), mode="r")
     r_j = r * np.repeat([1.0, -1.0], [g.shape[-1], t.shape[-1]])
@@ -1105,8 +1117,8 @@ def chained_randomization_experiment(rho: DensityMatrix, senders: Sequence,
     chain total <= sum of stages. Stage z mixes sender z on the n-copy
     marginal of senders z..Z and W, and the total mixes senders 2..Z onto
     stage 1's state, so the budget bounds (senders + W)^(x)n, not rho^(x)n.
-    Each state and target is held as a square-root factor while that is no
-    wider than the space (`_Power`, `_randomized`, `_distances`), else dense.
+    Each state and target is held as a square-root factor while that is
+    narrower than the space (`_Power`, `_randomized`, `_distances`), else dense.
     Before any marginal or family is built, the largest block size is bounded
     by 2^budget_qubits(), as a code's index space is. The trials run as
     stacks (Haar prefix (t, z)) in `_trial_chunks`."""
@@ -1125,9 +1137,7 @@ def chained_randomization_experiment(rho: DensityMatrix, senders: Sequence,
         marginal = partial_trace(rho, suffix)
         check_dim_budget(marginal.dim, n)
         power = _Power(marginal, n)
-        state = (_State(power.factor, True) if size * power.width <= power.layout.dim
-                 else _State(power.dense.matrix, False))
-        stages.append((group, power.layout, state, power.target(group)))
+        stages.append((group, power.layout, power.state(size), power.target(group)))
         if z == 0:
             total_target = power.target(sum(copy_groups, ()))
 

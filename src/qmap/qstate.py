@@ -37,9 +37,9 @@ numpy's Cholesky factor and LAPACK's buffers.
 The region layer's marginals are the one exception to "validated as a
 `DensityMatrix`": `marginal_entropies` traces them on matrices and makes
 each `DensityMatrix` check on them in stacks of one dimension (Hermitian
-and trace through `require`, PSD by the minimum of the spectrum its entropy
-is read from), at the same tolerances, naming the marginal's labels in the
-StateValidationError.
+through `_check_hermitian`, trace through `require`, PSD by the minimum of the
+spectrum its entropy is read from), at the same tolerances, naming the
+marginal's labels in the StateValidationError.
 
 Local operators act by contracting only the acted-on tensor axes
 (`apply_unitary`, `apply_local`, `conjugate_local`); `embed_operator` builds
@@ -521,17 +521,7 @@ def _stack_entropies(stack: np.ndarray, names: list[tuple[str, ...]]) -> list[fl
     minimum of the spectrum its entropy is read from (the exact comparison
     `psd_violation` falls back to). A failure raises StateValidationError
     naming the marginal's labels."""
-    # C order, so that only the conjugate transposes read across the rows
-    h = np.empty_like(stack)
-    np.conjugate(stack.transpose(0, 2, 1), out=h)
-    # a NaN or infinite entry makes the deviation NaN or inf (inf - inf)
-    with np.errstate(invalid="ignore"):
-        h -= stack
-        devs = np.abs(h).max(axis=(1, 2))
-    for labels, dev in zip(names, devs):
-        require(dev, HERMITIAN_TOL, StateValidationError,
-                "marginal on {} is not Hermitian within tolerance" if math.isfinite(dev)
-                else "marginal on {} has non-finite entries", list(labels))
+    h = _check_hermitian(stack, [f"marginal on {list(labels)}" for labels in names])
     traces = np.real(np.trace(stack, axis1=1, axis2=2))
     for labels, tr in zip(names, traces):
         require(abs(tr - 1), TRACE_TOL, StateValidationError,

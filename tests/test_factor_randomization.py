@@ -19,7 +19,9 @@ from qmap import protocols, qstate
 from qmap.cli import main
 from qmap.presets import resolve_state_spec
 from qmap.protocols import (
+    RANK_CUTOFF,
     Povm,
+    _sqrt_factor,
     chained_randomization_experiment,
     make_family,
     randomize,
@@ -109,9 +111,31 @@ def test_low_rank_stages_form_no_dense_mixture(monkeypatch):
                                      1, 0)
 
 
+def row_target(marginal, n, on):
+    """(I/d_on) (x) Tr_on(F F^dag) for F = F_1^(x)n, F_1 the marginal's
+    square-root factor cut at RANK_CUTOFF, written out: F's `on` row axes
+    moved to the front, Tr_on summed over them and the columns, the Kronecker
+    product with I/d_on, and the axes moved back to the n-copy layout."""
+    layout, single = marginal.layout.power(n), _sqrt_factor(marginal.matrix, RANK_CUTOFF)
+    factor = single
+    for _ in range(n - 1):
+        factor = np.kron(factor, single)
+    pos, k, d_on = [layout.index(lab) for lab in on], len(layout.dims), layout.dim_of(on)
+    rows = np.moveaxis(factor.reshape(layout.dims + (-1,)), pos, range(len(pos)))
+    rows = rows.reshape(d_on, layout.dim // d_on, -1)
+    rest = np.tensordot(rows, rows.conj(), axes=([0, 2], [0, 2]))
+    moved = [layout.dims[p] for p in pos] + [d for i, d in enumerate(layout.dims)
+                                             if i not in pos]
+    t = np.kron(np.eye(d_on) / d_on, rest).reshape(moved * 2)
+    front = list(range(len(pos)))
+    t = np.moveaxis(t, front + [k + i for i in front], pos + [k + p for p in pos])
+    return t.reshape(layout.dim, layout.dim)
+
+
 def dense_samples(rho, senders, w, n, block_sizes, trials, seed, family):
     """The dense per-trial loop: every mixture summed one conjugation at a
-    time on the n-copy marginal, every distance one `trace_norm`."""
+    time on the n-copy marginal, every distance one `trace_norm`, every
+    target (I/d_on) (x) Tr_on(F F^dag) from `row_target`."""
     groups = label_groups(senders)
     copy_groups = [SystemLayout.copy_major(g, n) for g in groups]
 
@@ -120,9 +144,10 @@ def dense_samples(rho, senders, w, n, block_sizes, trials, seed, family):
 
     stages = []
     for z, group in enumerate(copy_groups):
-        marg_n = tensor_power(partial_trace(rho, [lab for g in groups[z:] for lab in g] + w), n)
-        stages.append((group, marg_n, protocols._randomization_target(marg_n, group).matrix))
-    total_target = protocols._randomization_target(stages[0][1], sum(copy_groups, ())).matrix
+        marginal = partial_trace(rho, [lab for g in groups[z:] for lab in g] + w)
+        stages.append((group, tensor_power(marginal, n), row_target(marginal, n, group)))
+        if z == 0:
+            total_target = row_target(marginal, n, sum(copy_groups, ()))
     samples = {"total_distance": [],
                **{f"stage_{z}_distance": [] for z in range(1, len(groups) + 1)}}
     for t in range(trials):

@@ -39,6 +39,7 @@ CODES = [
     (1, [1, 1], ([2, 1], [1, 0])),  # N = 8
     (2, [0.5, 0.5], ([1, 1], [0.5, 0.5])),  # N = 16
     (2, [1, 1], ([1.5, 1], [0.5, 0])),  # N = 32
+    (2, [0.5, 0], ([0.5, 0], [0, 0])),  # N = 2: two messages, mean held as a factor
 ]
 
 
@@ -101,18 +102,22 @@ def test_marginal_path_matches_dense_path(n, rates, splits, seed, monkeypatch):
 def test_table_code_builds_nothing_of_dimension_d_to_the_n(monkeypatch):
     n = 2
     rho, code = rank2_code(n, [1, 1], ([1.5, 1], [0.5, 0]), 3, monkeypatch)
-    dims = []
-    for name in ("_mix", "tensor_power"):
-        inner = getattr(protocols, name)
+    dims = []  # the n-copy dimension of each `_Power`, the layout of each `_randomized`
+    inner_init, inner_randomized = protocols._Power.__init__, protocols._randomized
 
-        def recording(state, *args, inner=inner):
-            dims.append(state.dim)
-            return inner(state, *args)
+    def init(self, marginal, copies):
+        inner_init(self, marginal, copies)
+        dims.append(self.layout.dim)
 
-        monkeypatch.setattr(protocols, name, recording)
+    def randomized(state, layout, *args):
+        dims.append(layout.dim)
+        return inner_randomized(state, layout, *args)
+
+    monkeypatch.setattr(protocols._Power, "__init__", init)
+    monkeypatch.setattr(protocols, "_randomized", randomized)
     evaluate_code(code, rho)
     leak_dim = ABBE.dim_of(["A1", "A2", "E"])
-    # one `_mix` per distinct message prefix (m_1..m_z): sum_z prod_{y<=z} M_y
+    # one `_randomized` per distinct message prefix (m_1..m_z): sum_z prod_{y<=z} M_y
     mixes = sum(math.prod(code.message_counts[:z + 1]) for z in range(code.z_count))
     assert len(dims) == 1 + mixes
     assert max(dims) == leak_dim ** n < rho.dim ** n

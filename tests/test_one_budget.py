@@ -103,6 +103,19 @@ def test_non_integer_budget_exits_2(monkeypatch, tmp_path, capsys):
     assert "QMAP_BUDGET_QUBITS must be an integer" in capsys.readouterr().err
 
 
+def test_negative_budget_exits_2(monkeypatch, tmp_path, capsys):
+    """A negative budget is refused as a malformed one, not read as 2^-3."""
+    monkeypatch.setenv("QMAP_BUDGET_QUBITS", "-3")
+    with pytest.raises(ValueError,
+                       match=r"^QMAP_BUDGET_QUBITS must be an integer >= 0, got '-3'$"):
+        protocols.budget_qubits()
+    config = {"block_sizes": [2], "trials": 1}
+    assert run(tmp_path, "simulate-randomization", config, BELL, seed=0) == 2
+    err = capsys.readouterr().err
+    assert "QMAP_BUDGET_QUBITS must be an integer >= 0" in err and "exceeds budget" not in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command, spec, config, path", [
     ("simulate-code", BELL, {"rates": [1], "splits": {"c": [2.0]}}, "$.splits.d"),
     ("simulate-code", BELL, {"rates": [1], "splits": [[2.0], [1.0]]}, "$.splits"),

@@ -153,16 +153,17 @@ def test_evaluate_code_message_states_match_encode_mean(family, monkeypatch):
                            1, [1, 1], ([2, 2], [1, 1]), 4, family=family)
     assert code.block_sizes == (2, 2)
     mixes = []
-    inner = protocols._mix
+    inner = protocols._randomized
 
-    def recording(rho, unitaries, on):
-        mixes.append((list(on), inner(rho, unitaries, on)))
-        return mixes[-1][1]
+    def recording(state, layout, unitaries, on):
+        mixes.append((list(on), layout, inner(state, layout, unitaries, on)))
+        return mixes[-1][2]
 
-    monkeypatch.setattr(protocols, "_mix", recording)
+    monkeypatch.setattr(protocols, "_randomized", recording)
     report = evaluate_code(code, spec.state)
-    # the last sender's mix per message
-    states = [out for on, out in mixes if on == list(code.sender_groups[-1])]
+    # the last sender's mixture per message, with its layout
+    states = [(layout, out) for on, layout, out in mixes
+              if on == list(code.sender_groups[-1])]
     rho_n = tensor_power(spec.state, code.n)
     sizes = [f.size for f in code.families]
     every_tuple = encode(rho_n, code.families, code.sender_groups,
@@ -176,8 +177,8 @@ def test_evaluate_code_message_states_match_encode_mean(family, monkeypatch):
         encoded = encode(rho_n, code.families, code.sender_groups, k_tuples)
         want = sum(s.matrix for s in encoded) / len(encoded)
         marginal = partial_trace(DensityMatrix(want, rho_n.layout), leak_labels)
-        assert states[idx].layout == marginal.layout
-        assert np.max(np.abs(states[idx].matrix - marginal.matrix)) < 1e-12
+        assert states[idx][0] == marginal.layout
+        assert np.max(np.abs(states[idx][1].dense - marginal.matrix)) < 1e-12
         element = sum(index_pgm.elements[np.ravel_multi_index(k, sizes)] for k in k_tuples)
         success = float(np.real(np.trace(element @ want)))
         assert abs(report.samples["success"][idx] - success) < 1e-12
@@ -190,7 +191,7 @@ def test_oversized_message_space_is_refused_before_any_state(monkeypatch):
         raise AssertionError("a state was built")
 
     monkeypatch.setattr(protocols, "tensor_power", forbidden)
-    monkeypatch.setattr(protocols, "_mix", forbidden)
+    monkeypatch.setattr(protocols, "_randomized", forbidden)
     count = 65  # 65 * 65 = 4225 messages
     assert count * count > MAX_MESSAGES
     families = tuple(identity_family(z, 1, 2, size=count) for z in (1, 2))

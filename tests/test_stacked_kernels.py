@@ -22,15 +22,15 @@ from qmap.protocols import (
     UnitaryFamily,
     _message_blocks,
     _message_factors,
-    _message_states,
-    _mix,
+    _State,
+    _distances,
     _prefix_walk,
     _psd_power,
     _sqrt_factor,
     _stacked_walk,
-    _trace_norms,
     build_qmap_code,
     derived_rng,
+    evaluate_code,
     haar_unitary,
     make_family,
     pgm_success_table,
@@ -40,6 +40,7 @@ from qmap.qstate import (
     SystemLayout,
     apply_local,
     conjugate_local,
+    partial_trace,
     random_density,
     tensor_power,
     trace_norm,
@@ -146,7 +147,7 @@ class TestStackedTraceNorms:
         layout = SystemLayout((("A", 4), ("B", 4)))
         states = np.stack([random_density(layout, 3, s).matrix for s in range(8)])
         ref = random_density(layout, 16, 99).matrix
-        got = _trace_norms(states, ref)
+        got = _distances(_State(states, False), _State(ref, False))
         assert all(type(v) is float for v in got)
         assert got == tuple(trace_norm(s - ref) for s in states)
 
@@ -177,19 +178,49 @@ CODES = [  # (state, n, rates, (c, d), family)
 @pytest.mark.parametrize("state, n, rates, splits, family", CODES,
                          ids=["two-bell-pauli-1", "two-bell-haar-2", "two-bell-pauli-2",
                               "ghz4-haar-1"])
-def test_message_states_match_the_per_message_mix_chain(state, n, rates, splits, family):
+def test_message_states_match_the_per_message_mix_chain(state, n, rates, splits, family,
+                                                       monkeypatch):
+    """Each message state of `evaluate_code`'s walk (the last sender's
+    `_randomized`) against a per-message chain on the senders+E marginal's
+    n-th power: [U_k G] / sqrt(L) one block at a time while narrower than
+    the space, else a mixture summed one conjugation at a time, bit for bit."""
     spec, _ = state()
     code = build_qmap_code(spec.state, spec.senders, spec.receiver, spec.eavesdropper,
                            n, rates, splits, 7, family=family)
-    rho_n = tensor_power(spec.state, n)
-    walked = list(_message_states(code, rho_n))
+    walked = []
+    inner = protocols._randomized
+
+    def recording(state, layout, unitaries, on):
+        out = inner(state, layout, unitaries, on)
+        if tuple(on) == code.sender_groups[-1]:
+            walked.append(out)
+        return out
+
+    monkeypatch.setattr(protocols, "_randomized", recording)
+    evaluate_code(code, spec.state)
     assert len(walked) == code.message_space
+    leak = {lab for g in code.sender_groups for lab in g} | set(code.e_labels)
+    marginal = partial_trace(spec.state, [lab for lab in spec.state.layout.labels
+                                          if f"{lab}_1" in leak])
+    layout = marginal.layout.power(n)
+    factor = single = _sqrt_factor(marginal.matrix, RANK_CUTOFF)
+    for _ in range(n - 1):
+        factor = np.kron(factor, single)
     for got, m_tuple in zip(walked, product(*[range(m) for m in code.message_counts])):
-        want = rho_n
+        want, held = ((factor, True) if code.block_sizes[0] * factor.shape[1] < layout.dim
+                      else (tensor_power(marginal, n).matrix, False))
         for fam, group, m, size in zip(code.families, code.sender_groups, m_tuple,
                                        code.block_sizes):
-            want = _mix(want, [fam.block(m * size + l) for l in range(size)], group)
-        assert same_bits(got.matrix, want.matrix), m_tuple
+            blocks = [fam.block(m * size + l) for l in range(size)]
+            if held and size * want.shape[1] < layout.dim:
+                want = np.hstack([apply_local(want, u, group, layout) for u in blocks]) \
+                    / np.sqrt(size)
+            else:
+                dense = want @ want.conj().T if held else want
+                want, held = sum(conjugate_local(dense, u, group, layout)
+                                 for u in blocks) / size, False
+        assert got.held == held, m_tuple
+        assert same_bits(got.array, want), m_tuple
 
 
 def _per_tuple_factors(factor, layout, ops, groups):

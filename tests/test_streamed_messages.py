@@ -1,6 +1,6 @@
 """`evaluate_code` builds its message states one at a time.
 
-Each message state is the last sender's `_mix` on a prefix walk over the
+Each message state is the last sender's `_randomized` on a prefix walk over the
 message tuples, so beside it only the current prefix chain is kept. The
 recording wrapper keeps only weak references, so a state counts as alive
 only while `evaluate_code` itself still holds it.
@@ -22,17 +22,17 @@ def test_at_most_one_earlier_message_state_is_alive(monkeypatch):
     last = list(code.sender_groups[-1])
     messages = []  # a weak reference to each message state, in call order
     alive = []  # per call: how many earlier message states are still alive
-    inner = protocols._mix
+    inner = protocols._randomized
 
-    def recording(rho, unitaries, on):
+    def recording(state, layout, unitaries, on):
         gc.collect()
         alive.append(sum(ref() is not None for ref in messages))
-        out = inner(rho, unitaries, on)
+        out = inner(state, layout, unitaries, on)
         if list(on) == last:
             messages.append(weakref.ref(out))
         return out
 
-    monkeypatch.setattr(protocols, "_mix", recording)
+    monkeypatch.setattr(protocols, "_randomized", recording)
     report = evaluate_code(code, spec.state)
     # two sender-1 mixtures, each shared by two messages
     assert len(messages) == code.message_space == report.trials

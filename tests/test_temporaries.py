@@ -65,8 +65,10 @@ def test_a_256_dim_randomization_chunk_holds_one_trial(monkeypatch):
     """Two-bell at n = 2 with blocks of 4: stage 1's state is 256-dim. Every
     chunk holds one trial, no state is mixed densely (each is a square-root
     factor), and the run's peak above its start stays within 6 256-dim
-    matrices: the total target's factor and dense form, one trial's densified
-    chain and its trace-norm temporaries (5.9); a chunk of two trials reaches 9.5."""
+    matrices: the total target (built dense from the rows of its factor),
+    one trial's densified chain and its trace-norm temporaries (3.7; 5.9
+    while the target was a 256-wide factor densified beside itself); a chunk
+    of two trials reaches 6.3."""
     spec = resolve_state_spec({"preset": {"name": "two-bell"}})
     chunks, mixed = [], []
     inner, inner_mixture = protocols._trial_chunks, protocols._mixture

@@ -21,7 +21,6 @@ from qmap.protocols import (
     _family_stack,
     _mixture,
     _pgm_message_success,
-    _randomization_target,
     _sqrt_factor,
     chained_randomization_experiment,
     derived_rng,
@@ -73,23 +72,39 @@ def reference_factor(marginal, n):
     return factor
 
 
+def row_target(factor, layout, on):
+    """I/d_on (x) Tr_on(F F^dag) written out from the rows of F: the `on` row
+    axes moved to the front, Tr_on(F F^dag) summed over them and the
+    columns, the Kronecker product with I/d_on, and the axes moved back."""
+    pos, k, d_on = [layout.index(lab) for lab in on], len(layout.dims), layout.dim_of(on)
+    rows = np.moveaxis(factor.reshape(layout.dims + (-1,)), pos, range(len(pos)))
+    rows = rows.reshape(d_on, layout.dim // d_on, -1)
+    rest = np.tensordot(rows, rows.conj(), axes=([0, 2], [0, 2]))
+    moved = [layout.dims[p] for p in pos] + [d for i, d in enumerate(layout.dims)
+                                             if i not in pos]
+    t = np.kron(np.eye(d_on) / d_on, rest).reshape(moved * 2)
+    front = list(range(len(pos)))
+    t = np.moveaxis(t, front + [k + i for i in front], pos + [k + p for p in pos])
+    return t.reshape(layout.dim, layout.dim)
+
+
 def reference_target(marginal, n, on):
     """(I/d_on) (x) Tr_on(marginal^(x)n): the factor of each matrix unit |a><i|
-    on `on` applied to F^(x)n, side by side, while no wider than d^n (as
-    (factor, True)); else the dense target (as (matrix, False))."""
+    on `on` applied to F^(x)n, side by side, while narrower than d^n (as
+    (factor, True)); else `row_target` of F^(x)n (as (matrix, False))."""
     factor, layout = reference_factor(marginal, n), marginal.layout.power(n)
     d_on = layout.dim_of(on)
-    if d_on ** 2 * factor.shape[1] > layout.dim:
-        return _randomization_target(tensor_power(marginal, n), on).matrix, False
+    if d_on ** 2 * factor.shape[1] >= layout.dim:
+        return row_target(factor, layout, on), False
     units = np.eye(d_on ** 2).reshape(-1, d_on, d_on)
     return np.hstack([apply_local(factor, e, on, layout) for e in units]) / math.sqrt(d_on), True
 
 
 def reference_randomize(state, layout, unitaries, on):
     """One trial's mixture of a (matrix, is-factor) state: [U_k G] / sqrt(K) one
-    block at a time while no wider than the space, else `reference_mix`."""
+    block at a time while narrower than the space, else `reference_mix`."""
     x, factor = state
-    if factor and len(unitaries) * x.shape[1] <= layout.dim:
+    if factor and len(unitaries) * x.shape[1] < layout.dim:
         return np.hstack([apply_local(x, u, on, layout) for u in unitaries]) \
             / math.sqrt(len(unitaries)), True
     dense = x @ x.conj().T if factor else x
@@ -110,7 +125,7 @@ def reference_distance(state, target):
 
 def reference_randomization(rho, senders, w, n, block_sizes, trials, seed, family):
     """The per-trial loop: one family per (trial, sender), one mixture and one
-    distance per state, each state held as a factor while that is no wider
+    distance per state, each state held as a factor while that is narrower
     than the space."""
     groups = label_groups(senders)
     copy_groups = [SystemLayout.copy_major(g, n) for g in groups]
@@ -119,7 +134,7 @@ def reference_randomization(rho, senders, w, n, block_sizes, trials, seed, famil
         suffix = [lab for g in groups[z:] for lab in g] + w
         marginal = partial_trace(rho, suffix)
         factor, layout = reference_factor(marginal, n), marginal.layout.power(n)
-        start = ((factor, True) if size * factor.shape[1] <= layout.dim
+        start = ((factor, True) if size * factor.shape[1] < layout.dim
                  else (tensor_power(marginal, n).matrix, False))
         stages.append((group, layout, start, reference_target(marginal, n, group)))
         if z == 0:
